@@ -1,29 +1,25 @@
-//! Ingestion-plane throughput: the per-shard ring transport against
-//! the legacy bounded-MPSC channel it replaced, old-vs-new.
+//! Ingestion-plane throughput of the per-shard rings: per-job against
+//! batched submission.
 //!
-//! Three configurations of the same engine, workload, and algorithm:
+//! Two configurations of the same engine, workload, and algorithm:
 //!
-//! * **seed path** — the pre-refactor ingestion: one blocking `submit`
-//!   per job over the channel transport (one channel message, one
-//!   allocation-bearing hop per job);
-//! * **channel, batched** — the legacy transport driven through the
-//!   compact `submit_batch_into` API (isolates what batching alone
-//!   buys);
-//! * **ring, batched** — the new default: routed batches published
-//!   into per-shard rings with one lock acquisition and one release
-//!   store, preallocated slots, no per-submission allocation.
+//! * **per-job** — one blocking `submit` per job (one ring publish per
+//!   job);
+//! * **batched** — the compact `submit_batch_into` API: routed batches
+//!   published into the per-shard rings with one lock acquisition and
+//!   one release store per shard, no per-submission allocation.
 //!
-//! The artifact (`BENCH_ingest.json`) also certifies that the ring and
-//! channel transports produce bit-identical decision streams on this
+//! The artifact (`BENCH_ingest.json`) also certifies that the two
+//! submission paths produce bit-identical decision streams on this
 //! workload (flight-recorder comparison, wall-clock fields excluded) —
-//! the transport must never change an admission decision.
+//! how jobs are submitted must never change an admission decision.
 //!
 //! Knobs: `CSLACK_BENCH_QUICK=1` shrinks the workload for the CI smoke
 //! check; `CSLACK_BENCH_INGEST_OUT` overrides the output path.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cslack_algorithms::{OnlineScheduler, Threshold};
-use cslack_engine::{Engine, EngineConfig, EngineReport, FlightConfig, IngestConfig, ObsConfig};
+use cslack_engine::{Engine, EngineConfig, EngineReport, FlightConfig, ObsConfig};
 use cslack_kernel::Instance;
 use cslack_obs::DecisionEvent;
 use cslack_workloads::WorkloadSpec;
@@ -38,21 +34,21 @@ fn quick_mode() -> bool {
     std::env::var("CSLACK_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
-fn start(instance_n: usize, ingest: IngestConfig, flight: bool) -> Engine {
+fn start(instance_n: usize, flight: bool) -> Engine {
     let obs = ObsConfig {
         flight: flight
             .then(|| FlightConfig::new(instance_n.div_ceil(SHARDS), "threshold", EPS, 42)),
         ..ObsConfig::default()
     };
-    Engine::start_with_ingest(M, EngineConfig::new(SHARDS), ingest, obs, |_, g| {
+    Engine::start_observed(M, EngineConfig::new(SHARDS), obs, |_, g| {
         Box::new(Threshold::new(g, EPS)) as Box<dyn OnlineScheduler>
     })
     .expect("engine start")
 }
 
-/// The seed ingestion path: one blocking `submit` per job.
-fn run_perjob(instance: &Instance, ingest: IngestConfig) -> EngineReport {
-    let engine = start(instance.len(), ingest, false);
+/// The per-job path: one blocking `submit` per job.
+fn run_perjob(instance: &Instance, flight: bool) -> EngineReport {
+    let engine = start(instance.len(), flight);
     for job in instance.jobs() {
         engine.submit(*job).expect("submit");
     }
@@ -61,8 +57,8 @@ fn run_perjob(instance: &Instance, ingest: IngestConfig) -> EngineReport {
 
 /// The batched path: compact `submit_batch_into`, one routed publish
 /// per chunk per shard, failures (none expected here) via out-buffer.
-fn run_batched(instance: &Instance, ingest: IngestConfig, flight: bool) -> EngineReport {
-    let engine = start(instance.len(), ingest, flight);
+fn run_batched(instance: &Instance, flight: bool) -> EngineReport {
+    let engine = start(instance.len(), flight);
     let mut failures = Vec::new();
     for chunk in instance.jobs().chunks(256) {
         assert_eq!(
@@ -80,7 +76,7 @@ fn best_dps(rounds: usize, mut run: impl FnMut() -> EngineReport) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Strips the wall-clock fields so the two transports' streams compare
+/// Strips the wall-clock fields so the two paths' streams compare
 /// equal; everything semantic (order, decision, commitment) stays.
 fn timeless(e: &DecisionEvent) -> DecisionEvent {
     let mut e = e.clone();
@@ -89,20 +85,19 @@ fn timeless(e: &DecisionEvent) -> DecisionEvent {
     e
 }
 
-/// Runs both transports with the flight recorder on and compares the
-/// full per-shard decision streams.
+/// Runs both submission paths with the flight recorder on and
+/// compares the full per-shard decision streams.
 fn streams_identical(instance: &Instance) -> bool {
-    let stream = |ingest: IngestConfig| -> Vec<DecisionEvent> {
-        let report = run_batched(instance, ingest, true);
+    let stream = |report: EngineReport| -> Vec<DecisionEvent> {
         let snap = report.flight.expect("flight recording requested");
         let mut stream: Vec<DecisionEvent> = snap.decisions().into_iter().map(timeless).collect();
         stream.sort_by_key(|d| (d.shard, d.seq));
         stream
     };
-    stream(IngestConfig::default()) == stream(IngestConfig::channel())
+    stream(run_perjob(instance, true)) == stream(run_batched(instance, true))
 }
 
-/// The old-vs-new ingestion record in `BENCH_ingest.json`.
+/// The per-job vs batched ingestion record in `BENCH_ingest.json`.
 #[derive(Serialize)]
 struct IngestArtifact {
     m: usize,
@@ -110,19 +105,14 @@ struct IngestArtifact {
     n: usize,
     shards: usize,
     rounds: usize,
-    /// Seed ingestion: per-job blocking `submit` over the channel
-    /// transport — the pre-refactor architecture.
-    channel_perjob_dps: f64,
-    /// Legacy channel transport driven through the batched submit API.
-    channel_batch_dps: f64,
-    /// The new default: per-shard rings, batched publishes.
+    /// One blocking `submit` per job.
+    perjob_dps: f64,
+    /// Batched `submit_batch_into`: one routed ring publish per chunk
+    /// per shard.
     ring_dps: f64,
-    /// `ring_dps / channel_perjob_dps` — the whole refactor, end to
-    /// end, against the seed architecture.
-    speedup_vs_seed: f64,
-    /// `ring_dps / channel_batch_dps` — the transport swap alone.
-    speedup_vs_channel_batch: f64,
-    /// Ring and channel transports produced bit-identical decision
+    /// `ring_dps / perjob_dps` — what batching buys.
+    speedup_vs_perjob: f64,
+    /// Per-job and batched submission produced bit-identical decision
     /// streams on this workload. Must always be `true`.
     decision_streams_identical: bool,
 }
@@ -133,25 +123,18 @@ fn write_ingest_artifact() {
         .generate()
         .expect("ingest workload");
     // Warm code paths and page in ring memory before measuring.
-    run_batched(&instance, IngestConfig::default(), false);
-    let channel_perjob_dps = best_dps(rounds, || run_perjob(&instance, IngestConfig::channel()));
-    let channel_batch_dps = best_dps(rounds, || {
-        run_batched(&instance, IngestConfig::channel(), false)
-    });
-    let ring_dps = best_dps(rounds, || {
-        run_batched(&instance, IngestConfig::default(), false)
-    });
+    run_batched(&instance, false);
+    let perjob_dps = best_dps(rounds, || run_perjob(&instance, false));
+    let ring_dps = best_dps(rounds, || run_batched(&instance, false));
     let artifact = IngestArtifact {
         m: M,
         eps: EPS,
         n,
         shards: SHARDS,
         rounds,
-        channel_perjob_dps,
-        channel_batch_dps,
+        perjob_dps,
         ring_dps,
-        speedup_vs_seed: ring_dps / channel_perjob_dps.max(f64::MIN_POSITIVE),
-        speedup_vs_channel_batch: ring_dps / channel_batch_dps.max(f64::MIN_POSITIVE),
+        speedup_vs_perjob: ring_dps / perjob_dps.max(f64::MIN_POSITIVE),
         decision_streams_identical: streams_identical(&instance),
     };
     let path = std::env::var("CSLACK_BENCH_INGEST_OUT").unwrap_or_else(|_| {
@@ -160,13 +143,11 @@ fn write_ingest_artifact() {
     let json = serde_json::to_string_pretty(&artifact).expect("serialize ingest artifact");
     std::fs::write(&path, json + "\n").expect("write BENCH_ingest.json");
     println!(
-        "ingestion m={M} shards={SHARDS}: seed {:.0}/s -> channel+batch {:.0}/s -> ring {:.0}/s \
-         ({:.2}x vs seed, {:.2}x vs channel+batch), streams identical: {} [{}]",
-        artifact.channel_perjob_dps,
-        artifact.channel_batch_dps,
+        "ingestion m={M} shards={SHARDS}: per-job {:.0}/s -> batched {:.0}/s ({:.2}x), \
+         streams identical: {} [{}]",
+        artifact.perjob_dps,
         artifact.ring_dps,
-        artifact.speedup_vs_seed,
-        artifact.speedup_vs_channel_batch,
+        artifact.speedup_vs_perjob,
         artifact.decision_streams_identical,
         path,
     );
@@ -182,14 +163,11 @@ fn ingestion_throughput(c: &mut Criterion) {
         .expect("bench workload");
     let mut group = c.benchmark_group("ingestion_20k_jobs");
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function(BenchmarkId::from_parameter("channel-perjob"), |b| {
-        b.iter(|| black_box(run_perjob(&instance, IngestConfig::channel())));
-    });
-    group.bench_function(BenchmarkId::from_parameter("channel-batched"), |b| {
-        b.iter(|| black_box(run_batched(&instance, IngestConfig::channel(), false)));
+    group.bench_function(BenchmarkId::from_parameter("ring-perjob"), |b| {
+        b.iter(|| black_box(run_perjob(&instance, false)));
     });
     group.bench_function(BenchmarkId::from_parameter("ring-batched"), |b| {
-        b.iter(|| black_box(run_batched(&instance, IngestConfig::default(), false)));
+        b.iter(|| black_box(run_batched(&instance, false)));
     });
     group.finish();
     write_ingest_artifact();

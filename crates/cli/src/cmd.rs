@@ -6,8 +6,8 @@ use cslack_algorithms::{
     ablation, Greedy, LeeClassify, OnlineScheduler, RandomizedClassifySelect, Threshold,
 };
 use cslack_engine::{
-    Engine, EngineConfig, EngineMetrics, IngestConfig, IngestMode, ObsConfig, RecoveryStats,
-    ShardFailure, ShardState, SubmitError,
+    Engine, EngineConfig, EngineMetrics, IngestConfig, ObsConfig, RecoveryStats, ShardFailure,
+    ShardState, SubmitError,
 };
 use cslack_kernel::Instance;
 use cslack_obs::{
@@ -33,9 +33,8 @@ USAGE:
   cslack simulate  --algo <name> (--trace <file> | --m <int> --eps <float> --n <int> [--seed <int>]) [--json]
   cslack serve-bench --algo <name> --shards <int> --m <int> --eps <float> --n <int>
                    [--seed <int>] [--queue-cap <int>] [--batch <int>] [--json]
-                   [--ingest ring|channel] [--ring-cap <jobs>]
-                   [--pin-workers] [--pin-offset <int>]
-                   [--trace-out <jsonl>] [--trace-cap <int>]
+                   [--ring-cap <jobs>] [--pin-workers] [--pin-offset <int>]
+                   [--trace-out <jsonl>]
                    [--metrics-out <json>] [--prom-out <txt>] [--spans]
                    [--flight-out <cfr>] [--flight-cap <int>] [--flight-audit]
                    [--serve-metrics <addr>] [--hold <secs>] [--window <float>]
@@ -43,8 +42,7 @@ USAGE:
   cslack serve     --tenants name:m:eps[:algo[:shards[:seed]]][,name2:...]
                    [--listen <addr>] [--telemetry <addr>] [--inflight <int>]
                    [--queue-cap <int>] [--batch <int>]
-                   [--ingest ring|channel] [--ring-cap <jobs>]
-                   [--pin-workers] [--pin-offset <int>]
+                   [--ring-cap <jobs>] [--pin-workers] [--pin-offset <int>]
                    [--inject <tenant>=<kind>@<n>] [--recover] [--exit-when-drained]
                    [--max-secs <float>]
   cslack loadgen   --tenants <name>[,<name2>...] [--connect <addr>]
@@ -229,21 +227,12 @@ struct ServeBenchReport {
     degraded: Vec<ShardFailure>,
 }
 
-/// Parses the shared ingestion-plane flags: `--ingest ring|channel`
-/// (transport selection, ring by default), `--ring-cap <jobs>` (ring
+/// Parses the shared ingestion-plane flags: `--ring-cap <jobs>` (ring
 /// slot-pool size, power-of-two rounded; defaults to the queue
 /// capacity), `--pin-workers` and `--pin-offset <int>` (best-effort
 /// shard-worker CPU affinity).
 fn parse_ingest(opts: &Opts) -> Result<IngestConfig, String> {
-    let mode = match opts.get("ingest") {
-        None | Some("ring") => IngestMode::Ring,
-        Some("channel") => IngestMode::Channel,
-        Some(other) => return Err(format!("--ingest `{other}` is not `ring` or `channel`")),
-    };
-    let mut ingest = IngestConfig {
-        mode,
-        ..IngestConfig::default()
-    };
+    let mut ingest = IngestConfig::default();
     if opts.get("ring-cap").is_some() {
         ingest.ring_capacity = Some(opts.require_as("ring-cap")?);
     }
@@ -256,11 +245,13 @@ fn parse_ingest(opts: &Opts) -> Result<IngestConfig, String> {
 /// sharded admission-control engine and report throughput plus the
 /// competitive ratio against a cheap offline upper bound.
 ///
-/// Observability options: `--trace-out <jsonl>` writes the decision
-/// trace (default ring capacity covers the whole run; cap it with
-/// `--trace-cap`), `--metrics-out <json>` writes the live registry
-/// snapshot, `--prom-out <txt>` writes a Prometheus text exposition,
-/// and `--spans` turns on the `span!` profiling timers.
+/// Observability options: `--trace-out <jsonl>` exports the flight
+/// recording's decisions as a JSONL decision trace (recording the run
+/// for the export if nothing else asked for a recording; the default
+/// capacity covers the whole run, `--flight-cap` bounds it),
+/// `--metrics-out <json>` writes the live registry snapshot,
+/// `--prom-out <txt>` writes a Prometheus text exposition, and
+/// `--spans` turns on the `span!` profiling timers.
 ///
 /// Flight-recorder options: `--flight-out <cfr>` records the run and
 /// writes a `.cfr` flight recording replayable with `cslack replay`
@@ -322,14 +313,14 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     // its own when none is passed.)
     let registry = (metrics_out.is_some() || prom_out.is_some() || serve_metrics.is_some())
         .then(|| Arc::new(MetricsRegistry::enabled()));
-    // Default the ring to hold the entire run so `trace-summary` can
-    // reproduce the engine's counters exactly; `--trace-cap` bounds it.
-    let trace_capacity: usize =
-        opts.get_or("trace-cap", if trace_out.is_some() { n.max(1) } else { 0 })?;
     // The ring stores one compact record per decision (submissions and
     // commitments are synthesized from it at snapshot time) and shard
     // routing splits jobs evenly, so ceil(n / shards) per shard covers
-    // any run completely.
+    // any run completely. A failing shard appends one extra submission
+    // record (the job that tripped it) on top of its per-decision
+    // share, so recovery drills get headroom — a lapped ring would make
+    // the ring unreplayable for any later restart.
+    let whole_run = n.max(1).div_ceil(shards.max(1)) + if recover { 8 } else { 0 };
     // `--recover` implies flight recording: resurrection replays the
     // failed shard's decision stream out of its flight ring.
     let flight_wanted = flight_out.is_some()
@@ -337,20 +328,19 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         || serve_metrics.is_some()
         || crash_out.is_some()
         || recover;
-    let flight_capacity: usize = opts.get_or(
-        "flight-cap",
-        if flight_wanted {
-            // A failing shard appends one extra submission record (the
-            // job that tripped it) on top of its per-decision share, so
-            // recovery drills get headroom — a lapped ring would make
-            // the ring unreplayable for any later restart.
-            n.max(1).div_ceil(shards.max(1)) + if recover { 8 } else { 0 }
-        } else {
-            0
-        },
-    )?;
-    let flight = (flight_capacity > 0).then(|| {
-        let mut cfg = cslack_engine::FlightConfig::new(flight_capacity, algo_name, eps, seed);
+    let flight_capacity: usize =
+        opts.get_or("flight-cap", if flight_wanted { whole_run } else { 0 })?;
+    // `--trace-out` exports the recorded decisions, so it records the
+    // run even when no flight output was asked for. That recording only
+    // feeds the export: the observatory and the flight fields of the
+    // report still follow `flight_capacity`.
+    let record_capacity = if trace_out.is_some() && flight_capacity == 0 {
+        whole_run
+    } else {
+        flight_capacity
+    };
+    let flight = (record_capacity > 0).then(|| {
+        let mut cfg = cslack_engine::FlightConfig::new(record_capacity, algo_name, eps, seed);
         cfg.audit_on_finish = flight_audit;
         cfg.snapshot_on_error = crash_out.map(std::path::PathBuf::from);
         cfg
@@ -366,7 +356,6 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
             .then(|| cslack_engine::ObservatoryConfig::new(window));
     let obs = ObsConfig {
         registry: registry.clone(),
-        trace_capacity,
         flight,
         serve_metrics,
         observatory,
@@ -408,9 +397,9 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     }
     // Keep streaming past a failed shard: its jobs bounce with
     // `ShardFailed` while the healthy shards keep accepting. Batched
-    // submission amortizes one ring publish (or channel operation)
-    // over `batch_size` jobs per shard; the `_into` path makes the
-    // all-accepted case allocation-free.
+    // submission amortizes one ring publish over `batch_size` jobs per
+    // shard; the `_into` path makes the all-accepted case
+    // allocation-free.
     let mut bounced = 0usize;
     let mut resubmitted = 0usize;
     let mut restart_refused = false;
@@ -481,12 +470,23 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         std::thread::sleep(std::time::Duration::from_secs_f64(hold));
     }
     let report = engine.finish().map_err(|e| e.to_string())?;
+    // The flight recording as far as the flight outputs are concerned:
+    // absent when only `--trace-out` recorded the run.
+    let flight_snap = report.flight.as_ref().filter(|_| flight_capacity > 0);
 
+    let (mut trace_events, mut trace_dropped) = (0, 0);
     if let Some(path) = trace_out {
+        let snap = report
+            .flight
+            .as_ref()
+            .ok_or("decision trace requested but no recording was produced")?;
+        let decisions = snap.decisions();
+        trace_events = decisions.len();
+        trace_dropped = snap.total_dropped();
         let file =
             std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
         let mut w = BufWriter::new(file);
-        cslack_obs::write_jsonl(&report.trace, &mut w).map_err(|e| e.to_string())?;
+        cslack_obs::write_jsonl(decisions, &mut w).map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
     }
     if let Some(path) = metrics_out {
@@ -500,24 +500,20 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if let Some(path) = flight_out {
-        let snap = report
-            .flight
-            .as_ref()
-            .ok_or("flight recording requested but none was produced")?;
+        let snap = flight_snap.ok_or("flight recording requested but none was produced")?;
         let file =
             std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
         let mut w = BufWriter::new(file);
         snap.write_cfr(&mut w).map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
     }
-    if report.trace_dropped > 0 {
+    if trace_dropped > 0 {
         eprintln!(
-            "warning: decision-trace ring dropped {} event(s); raise --trace-cap for a \
-             complete trace",
-            report.trace_dropped
+            "warning: the recording behind the decision trace dropped {trace_dropped} \
+             record(s); raise --flight-cap for a complete trace"
         );
     }
-    let flight_dropped = report.flight.as_ref().map_or(0, |s| s.total_dropped());
+    let flight_dropped = flight_snap.map_or(0, |s| s.total_dropped());
     if flight_dropped > 0 {
         eprintln!(
             "warning: flight recorder dropped {flight_dropped} record(s); the recording \
@@ -543,9 +539,9 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
         opt_upper_bound: opt_bound,
         measured_ratio,
         paper_bound,
-        trace_events: report.trace.len(),
-        trace_dropped: report.trace_dropped,
-        flight_events: report.flight.as_ref().map_or(0, |s| s.len()),
+        trace_events,
+        trace_dropped,
+        flight_events: flight_snap.map_or(0, |s| s.len()),
         flight_dropped,
         audit_violations: report.audit.as_ref().map(|a| a.violations.len()),
         bounced_submissions: bounced,
@@ -1154,8 +1150,9 @@ fn latency_follow(opts: &Opts) -> Result<(), String> {
 /// one from a telemetry endpoint (`--url
 /// http://<addr>/flight/snapshot[?tenant=NAME]`), then reports per-span
 /// p50/p90/p99/p999 overall and per shard, plus the `--top` slowest
-/// jobs with their complete timelines. Pre-v2 recordings degrade to an
-/// explicit "no timeline data" note instead of an empty waterfall.
+/// jobs with their complete timelines. A recording without stage stamps
+/// degrades to an explicit "no timeline data" note instead of an empty
+/// waterfall.
 /// With `--follow`, switches to the windowed live poller instead.
 pub fn latency(opts: &Opts) -> Result<(), String> {
     if opts.flag("follow") {
@@ -1248,7 +1245,7 @@ pub fn latency(opts: &Opts) -> Result<(), String> {
         report.decisions, report.stamped, report.unstamped, report.dropped
     );
     if !total.has_timeline() {
-        println!("  no timeline data (pre-v2 recording: stamps absent)");
+        println!("  no timeline data (the recording carries no stage stamps)");
         return Ok(());
     }
     let e2e_mean = total.end_to_end.mean().max(1);
@@ -1315,12 +1312,12 @@ pub fn latency(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The timeline section a v2 `.cfr` adds to `trace-summary --json`.
+/// The timeline section a `.cfr` adds to `trace-summary --json`.
 #[derive(Serialize)]
 struct TimelineSection {
     /// Decisions that carried at least one stamp.
     stamped: u64,
-    /// Decisions with all-zero stamps (pre-v2 data).
+    /// Decisions with all-zero stamps (nothing stamped them).
     unstamped: u64,
     /// Per-stage span distributions, [`STAGE_SPANS`] order.
     stages: Vec<StageStats>,
@@ -1349,9 +1346,10 @@ fn timeline_section(b: &StageBreakdown) -> Option<TimelineSection> {
 /// counters and latency distributions. Accepts either a JSONL decision
 /// trace or a `.cfr` flight recording (detected by magic); the totals
 /// reproduce the engine's own metrics exactly when the trace captured
-/// every event. Format-v2 recordings additionally get a per-stage
-/// timeline section; pre-v2 recordings and JSONL traces degrade to an
-/// explicit "no timeline data" note.
+/// every event. A `.cfr` whose decisions carry stage stamps
+/// additionally gets a per-stage timeline section; JSONL traces (and
+/// unstamped recordings) degrade to an explicit "no timeline data"
+/// note.
 pub fn trace_summary(opts: &Opts) -> Result<(), String> {
     let path = opts.require("in")?;
     let mut magic = [0u8; 4];
@@ -1377,7 +1375,7 @@ pub fn trace_summary(opts: &Opts) -> Result<(), String> {
         let file = std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
         (cslack_obs::read_jsonl(BufReader::new(file))?, None)
     };
-    let summary = cslack_obs::summarize(&events);
+    let summary = cslack_obs::summarize(&events)?;
     if opts.flag("json") {
         // JSONL inputs keep the bare TraceSummary shape existing
         // consumers parse; `.cfr` inputs wrap it with the timeline.
@@ -1457,7 +1455,7 @@ pub fn trace_summary(opts: &Opts) -> Result<(), String> {
                 e.count()
             );
         }
-        Some(_) => println!("  no timeline data (pre-v2 recording: stamps absent)"),
+        Some(_) => println!("  no timeline data (the recording carries no stage stamps)"),
         None => println!("  no timeline data (JSONL traces carry no stage stamps)"),
     }
     Ok(())

@@ -1,12 +1,12 @@
 //! Engine tuning and observability configuration types.
 
 use crate::observatory::ObservatoryConfig;
-use crossbeam::channel::Sender;
 use cslack_obs::flight::StampedDecision;
 use cslack_obs::timeline::ClockBase;
 use cslack_obs::MetricsRegistry;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// Tuning knobs for [`Engine::start`](crate::Engine::start).
@@ -14,12 +14,10 @@ use std::sync::Arc;
 pub struct EngineConfig {
     /// Number of shards (worker threads / scheduler instances).
     pub shards: usize,
-    /// Bounded capacity of each shard's submission queue; a full queue
-    /// makes [`Engine::try_submit`](crate::Engine::try_submit) fail and
-    /// [`Engine::submit`](crate::Engine::submit) block. In the default
-    /// ring ingestion mode this bounds queued *jobs* (rounded up to a
-    /// power of two); in legacy channel mode it bounds queued
-    /// *messages*, where one batch message may carry many jobs.
+    /// Bounded capacity of each shard's ingestion ring in queued *jobs*
+    /// (rounded up to a power of two); a full ring makes
+    /// [`Engine::try_submit`](crate::Engine::try_submit) fail and
+    /// [`Engine::submit`](crate::Engine::submit) block.
     pub queue_capacity: usize,
     /// Maximum jobs a shard drains from its queue per wakeup.
     pub batch_size: usize,
@@ -36,20 +34,6 @@ impl EngineConfig {
     }
 }
 
-/// Which transport carries submissions from producers to the shard
-/// workers. See the [`queue`](crate::queue) module docs for the layout
-/// and protocol of each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Per-shard ingestion rings: whole routed batches published with
-    /// one lock acquisition and one release store, lock-free consumer,
-    /// preallocated slots (no per-submission allocation). The default.
-    Ring,
-    /// The legacy bounded MPSC channel, kept as the reference path for
-    /// A/B benchmarking and the CI decision-stream divergence check.
-    Channel,
-}
-
 /// Ingestion-plane knobs for
 /// [`Engine::start_with_ingest`](crate::Engine::start_with_ingest).
 ///
@@ -57,14 +41,13 @@ pub enum IngestMode {
 /// `EngineConfig { .. }` literals keep compiling; the plain
 /// [`Engine::start`](crate::Engine::start) /
 /// [`Engine::start_observed`](crate::Engine::start_observed)
-/// constructors use the default (ring mode, ring capacity =
-/// `queue_capacity`, no pinning).
-#[derive(Clone, Copy, Debug)]
+/// constructors use the default (ring capacity = `queue_capacity`, no
+/// pinning). DESIGN.md §10 describes the ring's layout and publish
+/// protocol.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IngestConfig {
-    /// Transport selection; defaults to [`IngestMode::Ring`].
-    pub mode: IngestMode,
     /// Ring capacity in jobs (rounded up to a power of two); `None`
-    /// uses [`EngineConfig::queue_capacity`]. Ignored in channel mode.
+    /// uses [`EngineConfig::queue_capacity`].
     pub ring_capacity: Option<usize>,
     /// Pin each shard worker to a CPU (`(pin_offset + shard) mod
     /// available_parallelism`). Best-effort: on platforms without a
@@ -80,33 +63,13 @@ pub struct IngestConfig {
     pub pin_offset: usize,
 }
 
-impl Default for IngestConfig {
-    fn default() -> IngestConfig {
-        IngestConfig {
-            mode: IngestMode::Ring,
-            ring_capacity: None,
-            pin_workers: false,
-            pin_offset: 0,
-        }
-    }
-}
-
-impl IngestConfig {
-    /// The legacy channel transport with default sizing.
-    pub fn channel() -> IngestConfig {
-        IngestConfig {
-            mode: IngestMode::Channel,
-            ..IngestConfig::default()
-        }
-    }
-}
-
 /// Observability wiring for
 /// [`Engine::start_observed`](crate::Engine::start_observed).
 ///
-/// The default is fully dark: no registry, no trace, and the built-in
-/// histograms still populate [`EngineMetrics`](crate::EngineMetrics)
-/// (they are shard-local, contention-free, and cheap).
+/// The default is fully dark: no registry, no flight recorder, and the
+/// built-in histograms still populate
+/// [`EngineMetrics`](crate::EngineMetrics) (they are shard-local,
+/// contention-free, and cheap).
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
     /// Shared metrics registry the workers stream counters and
@@ -117,13 +80,9 @@ pub struct ObsConfig {
     /// the truth by at most one batch. `None` skips registry writes
     /// entirely.
     pub registry: Option<Arc<MetricsRegistry>>,
-    /// Per-shard decision-trace ring capacity; `0` disables tracing.
-    /// When a shard decides more jobs than this, the oldest events are
-    /// overwritten and counted in
-    /// [`EngineReport::trace_dropped`](crate::EngineReport::trace_dropped).
-    pub trace_capacity: usize,
-    /// Flight-recorder wiring; `None` records nothing. See
-    /// [`FlightConfig`].
+    /// Flight-recorder wiring; `None` records nothing. The flight ring
+    /// is the engine's one per-decision record: a decision trace is an
+    /// export of its snapshot (see [`FlightConfig`]).
     pub flight: Option<FlightConfig>,
     /// Bind address for the live telemetry HTTP endpoint serving
     /// `/metrics` (Prometheus text), `/healthz`, and `/flight/snapshot`
@@ -149,10 +108,9 @@ pub struct ObsConfig {
     /// interleaving of the per-shard streams; within one shard the
     /// order is exactly arrival order. The channel closes when the
     /// engine is finished (all senders dropped), which is the
-    /// receiver's drain signal. A full bounded channel blocks the
-    /// deciding worker — subscribers that cannot keep up stall the
-    /// engine rather than silently losing decisions, so use an
-    /// unbounded channel unless that backpressure is wanted.
+    /// receiver's drain signal. The channel is unbounded: a slow
+    /// subscriber buffers decisions rather than stalling the workers
+    /// or losing any.
     pub decisions: Option<Sender<StampedDecision>>,
     /// Quality-observatory wiring: a background thread slicing the
     /// flight-recorded decision stream into release-time windows and
@@ -169,16 +127,6 @@ pub struct ObsConfig {
     /// engine must agree on the axis) passes its own shared clock;
     /// `None` gives the engine a private one.
     pub clock: Option<Arc<ClockBase>>,
-}
-
-impl ObsConfig {
-    /// Tracing with per-shard capacity `trace_capacity`, no registry.
-    pub fn traced(trace_capacity: usize) -> ObsConfig {
-        ObsConfig {
-            trace_capacity,
-            ..ObsConfig::default()
-        }
-    }
 }
 
 /// Which endpoints the engine's telemetry listener serves. Each is

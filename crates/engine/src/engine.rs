@@ -1,19 +1,17 @@
-//! The engine itself: startup (shard spawning, ingestion transport
-//! selection, telemetry binding), accessors, and the drain/merge
-//! shutdown path.
+//! The engine itself: startup (shard spawning, ingestion rings,
+//! telemetry binding), accessors, and the drain/merge shutdown path.
 
-use crate::config::{EngineConfig, IngestConfig, IngestMode, ObsConfig};
+use crate::config::{EngineConfig, IngestConfig, ObsConfig};
 use crate::error::{EngineError, FailureKind, ShardFailure};
 use crate::flight_state::FlightState;
 use crate::health::{HealthState, ShardHealth};
 use crate::machine_groups;
 use crate::observatory::{spawn_observatory, ObservatoryHandle};
-use crate::queue::{IngestRing, QueueMsg, RingConsumer, ShardQueue, ShardSource};
+use crate::queue::{IngestRing, RingConsumer};
 use crate::recovery::RecoveryLedger;
 use crate::report::{EngineMetrics, EngineReport, ShardMetrics, ShardOutcome};
 use crate::telemetry::{serve_telemetry, TelemetryHandle, TelemetryShared};
-use crate::worker::{panic_payload_string, shard_worker, ShardCtx};
-use crossbeam::channel::{bounded, Receiver};
+use crate::worker::{panic_payload_string, shard_worker, ResumeState, ShardCtx};
 use cslack_algorithms::OnlineScheduler;
 use cslack_kernel::{merge_schedules, MachineId, Schedule};
 use cslack_obs::flight::FlightSnapshot;
@@ -34,13 +32,13 @@ use std::time::Instant;
 pub(crate) type SchedulerBuilder =
     Box<dyn Fn(usize, usize) -> Box<dyn OnlineScheduler> + Send + Sync>;
 
-/// The swappable half of a shard's handles: the producer queue and the
-/// worker's join handle. Behind a `RwLock` so a failed shard can be
-/// resurrected (`Engine::restart_shard` write-locks, swaps in a fresh
-/// transport and worker) while concurrent producers read-lock on the
-/// submit paths.
+/// The swappable half of a shard's handles: the producer side of its
+/// ingestion ring and the worker's join handle. Behind a `RwLock` so a
+/// failed shard can be resurrected (`Engine::restart_shard`
+/// write-locks, swaps in a fresh ring and worker) while concurrent
+/// producers read-lock on the submit paths.
 pub(crate) struct ShardSlot {
-    pub(crate) queue: Option<ShardQueue>,
+    pub(crate) queue: Option<Arc<IngestRing>>,
     pub(crate) join: Option<JoinHandle<ShardOutcome>>,
     /// A dead worker's outcome, parked here when a restart attempt
     /// joined the worker but then refused to proceed (lossy recording,
@@ -93,7 +91,7 @@ pub struct Engine {
     /// rebuild a dead shard's scheduler for replay.
     pub(crate) builder: SchedulerBuilder,
     /// The ingestion-plane wiring, retained so recovery can construct
-    /// a replacement transport matching the original.
+    /// a replacement ring matching the original.
     pub(crate) ingest: IngestConfig,
     /// The shared recovery ledger: restart count and the four-way job
     /// conservation counters, written by [`Engine::restart_shard`] and
@@ -101,26 +99,24 @@ pub struct Engine {
     pub(crate) ledger: Arc<RecoveryLedger>,
 }
 
-/// The consumer half of a shard's transport, created on the spawning
-/// thread and claimed *on the worker thread* (a ring must register the
-/// worker as its consumer so producers can unpark it).
-pub(crate) enum ConsumerSeed {
-    Channel(Receiver<QueueMsg>),
-    Ring(Arc<IngestRing>),
-}
-
-impl ConsumerSeed {
-    pub(crate) fn into_source(self) -> ShardSource {
-        match self {
-            ConsumerSeed::Channel(rx) => ShardSource::Channel(rx),
-            ConsumerSeed::Ring(ring) => ShardSource::Ring(RingConsumer::new(ring)),
-        }
-    }
+/// Spawns a shard worker thread that claims `ring` as its consumer
+/// *on the worker thread* (the ring must know which thread producers
+/// unpark).
+pub(crate) fn spawn_worker(
+    name: String,
+    ring: Arc<IngestRing>,
+    scheduler: Box<dyn OnlineScheduler>,
+    ctx: ShardCtx,
+    resume: Option<ResumeState>,
+) -> std::io::Result<JoinHandle<ShardOutcome>> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || shard_worker(RingConsumer::new(ring), scheduler, ctx, resume))
 }
 
 impl Engine {
     /// Starts the service with observability dark (no registry, no
-    /// trace): spawns one worker thread per shard, each owning a
+    /// flight recorder): spawns one worker thread per shard, each owning a
     /// scheduler built by `builder` for its machine group.
     ///
     /// `builder` receives `(shard index, machines in the shard's
@@ -135,9 +131,10 @@ impl Engine {
     }
 
     /// Starts the service with explicit observability wiring: a shared
-    /// [`MetricsRegistry`] to stream into and/or a per-shard decision
-    /// trace (see [`ObsConfig`]), on the default ingestion plane
-    /// ([`IngestConfig::default`]: per-shard rings, no pinning).
+    /// [`MetricsRegistry`] to stream into, a flight recorder, a live
+    /// decision subscription (see [`ObsConfig`]), on the default
+    /// ingestion plane ([`IngestConfig::default`]: ring capacity =
+    /// `queue_capacity`, no pinning).
     ///
     /// `builder` runs sequentially on the calling thread, one shard at
     /// a time: threshold-style schedulers that solve for their ratio
@@ -156,8 +153,8 @@ impl Engine {
     }
 
     /// [`Engine::start_observed`] with explicit ingestion-plane wiring:
-    /// transport selection (ring vs legacy channel), ring capacity, and
-    /// best-effort worker CPU pinning. See [`IngestConfig`].
+    /// ring capacity and best-effort worker CPU pinning. See
+    /// [`IngestConfig`].
     pub fn start_with_ingest<F>(
         m: usize,
         config: EngineConfig,
@@ -272,26 +269,14 @@ impl Engine {
         let mut shards = Vec::with_capacity(config.shards);
         for (index, group) in groups.into_iter().enumerate() {
             let scheduler = builder(index, group.len());
-            let (queue, seed) = match ingest.mode {
-                IngestMode::Ring => {
-                    let capacity = ingest.ring_capacity.unwrap_or(config.queue_capacity);
-                    let ring = Arc::new(IngestRing::new(capacity));
-                    (
-                        ShardQueue::Ring(Arc::clone(&ring)),
-                        ConsumerSeed::Ring(ring),
-                    )
-                }
-                IngestMode::Channel => {
-                    let (tx, rx) = bounded::<QueueMsg>(config.queue_capacity.max(1));
-                    (ShardQueue::Channel(tx), ConsumerSeed::Channel(rx))
-                }
-            };
+            let ring = Arc::new(IngestRing::new(
+                ingest.ring_capacity.unwrap_or(config.queue_capacity),
+            ));
             let ctx = ShardCtx {
                 shard: index,
                 group: group.clone(),
                 batch_size: config.batch_size.max(1),
                 registry: obs.registry.clone(),
-                trace_capacity: obs.trace_capacity,
                 flight: flight.clone(),
                 decisions: obs.decisions.clone(),
                 health: Arc::clone(&health),
@@ -301,13 +286,17 @@ impl Engine {
                     .pin_workers
                     .then(|| (ingest.pin_offset + index) % cpus),
             };
-            let join = std::thread::Builder::new()
-                .name(format!("cslack-shard-{index}"))
-                .spawn(move || shard_worker(seed.into_source(), scheduler, ctx, None))
-                .expect("failed to spawn shard worker");
+            let join = spawn_worker(
+                format!("cslack-shard-{index}"),
+                Arc::clone(&ring),
+                scheduler,
+                ctx,
+                None,
+            )
+            .expect("failed to spawn shard worker");
             shards.push(ShardHandle {
                 slot: RwLock::new(ShardSlot {
-                    queue: Some(queue),
+                    queue: Some(ring),
                     join: Some(join),
                     parked: None,
                 }),
@@ -400,14 +389,13 @@ impl Engine {
         self.health.generation()
     }
 
-    /// Closes every shard's queue so the workers drain and exit. The
-    /// channel transport closes by dropping its sender; the ring flips
-    /// its closed flag and wakes both sides.
+    /// Closes every shard's ring so the workers drain and exit: the
+    /// ring flips its closed flag and wakes both sides.
     fn close_queues(&mut self) {
         for shard in &mut self.shards {
             let slot = shard.slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if let Some(queue) = slot.queue.take() {
-                queue.close();
+            if let Some(ring) = slot.queue.take() {
+                ring.close();
             }
         }
     }
@@ -415,8 +403,7 @@ impl Engine {
     /// Graceful shutdown: closes every shard queue, waits for **all**
     /// workers to drain and exit (even after a fault), merges the
     /// healthy shards' schedules into one cluster schedule, and
-    /// returns it with the metrics snapshot and the recorded decision
-    /// trace.
+    /// returns it with the metrics snapshot and the flight recording.
     ///
     /// A shard that died to a contained fault does not sink the run:
     /// its failure is reported in [`EngineReport::degraded`], its
@@ -452,8 +439,6 @@ impl Engine {
                 batches: 0,
                 latency: Histogram::new(),
                 queue_wait: Histogram::new(),
-                events: Vec::new(),
-                events_dropped: 0,
                 last_decision_ns: 0,
                 failure: Some(ShardFailure {
                     shard: index,
@@ -528,8 +513,6 @@ impl Engine {
         let mut rejected_by_reason = RejectCounts::default();
         let (mut submitted, mut accepted) = (0u64, 0u64);
         let mut per_shard = Vec::with_capacity(outcomes.len());
-        let mut trace = Vec::new();
-        let mut trace_dropped = 0u64;
         for (index, o) in outcomes.iter().enumerate() {
             latency.merge(&o.latency);
             queue_wait.merge(&o.queue_wait);
@@ -555,13 +538,6 @@ impl Engine {
                 batches: o.batches,
                 failed: o.failure.is_some(),
             });
-            trace_dropped += o.events_dropped;
-        }
-        // Shards are visited in index order and each ring is already in
-        // per-shard arrival order, so the concatenation is sorted by
-        // (shard, seq).
-        for o in &mut outcomes {
-            trace.append(&mut o.events);
         }
         // The busy window runs from the first successful enqueue to
         // the newest completed decision batch across shards; idle time
@@ -615,8 +591,6 @@ impl Engine {
         Ok(EngineReport {
             schedule: merged,
             metrics,
-            trace,
-            trace_dropped,
             flight,
             audit,
             degraded,

@@ -31,13 +31,11 @@
 //!   shards in the same per-shard order — the accepted set is
 //!   reproducible across runs regardless of thread scheduling.
 //! * Submissions travel through the **ingestion plane** (the [`queue`]
-//!   module): by default one preallocated lock-free-consumer ring per
-//!   shard, into which producers publish whole routed batches with one
-//!   lock acquisition and one release store — no per-job allocation,
-//!   no channel hop. The legacy bounded MPSC channel remains available
-//!   ([`IngestMode::Channel`]) for A/B benchmarking; the per-shard
-//!   arrival streams (and therefore the decision streams) are
-//!   identical on either transport.
+//!   module): one preallocated lock-free-consumer ring per shard, into
+//!   which producers publish whole routed batches with one lock
+//!   acquisition and one release store — no per-job allocation, no
+//!   channel hop. Per-job and batched submission produce the same
+//!   per-shard arrival streams, and therefore the same decisions.
 //! * Each shard drains its queue in batches, asks its scheduler for an
 //!   irrevocable [`Decision`](cslack_algorithms::Decision) per job,
 //!   and commits accepts to a shard-local
@@ -45,7 +43,7 @@
 //!   contract-check the sequential simulator uses
 //!   ([`cslack_sim::apply_decision`]). Workers can optionally be
 //!   pinned to CPUs ([`IngestConfig::pin_workers`]).
-//! * [`Engine::finish`] closes the queues, joins every worker, and
+//! * [`Engine::finish`] closes the rings, joins every worker, and
 //!   merges the shard schedules into one cluster-wide
 //!   [`Schedule`](cslack_kernel::Schedule); the merge re-validates
 //!   every commitment, so shards can never silently double-commit a
@@ -64,10 +62,12 @@
 //!   [`MetricsRegistry`](cslack_obs::MetricsRegistry)
 //!   (Prometheus-exposable; flushed shard-locally once per batch so the
 //!   hot path never contends on it — including a per-shard
-//!   `cslack_queue_depth` gauge fed from both ends of the ring), and
-//! * record a bounded per-shard decision trace
-//!   ([`cslack_obs::DecisionEvent`] ring buffers) returned in
-//!   [`EngineReport::trace`], drainable as JSONL.
+//!   `cslack_queue_depth` gauge fed from both ends of the ring),
+//! * record every decision once, into a bounded per-shard flight ring
+//!   ([`FlightConfig`]); [`EngineReport::flight`] carries the snapshot,
+//!   whose decisions are the run's trace (exportable as JSONL with
+//!   [`cslack_obs::write_jsonl`]), and
+//! * subscribe to the live decision stream ([`ObsConfig::decisions`]).
 //!
 //! The hot path is instrumented with `cslack_obs::span!("route")`
 //! (plus `"threshold_eval"` inside the Threshold algorithm); span
@@ -114,9 +114,7 @@ mod telemetry;
 mod tests;
 mod worker;
 
-pub use config::{
-    EngineConfig, FlightConfig, IngestConfig, IngestMode, ObsConfig, TelemetryEndpoints,
-};
+pub use config::{EngineConfig, FlightConfig, IngestConfig, ObsConfig, TelemetryEndpoints};
 pub use engine::Engine;
 pub use error::{EngineError, FailureKind, ShardFailure, SubmitError};
 pub use health::{ShardHealth, ShardState};

@@ -1,21 +1,13 @@
 //! The ingestion plane: how submissions travel from producer threads to
 //! a shard worker.
 //!
-//! Two interchangeable transports sit behind [`ShardQueue`] (producer
-//! side) and [`ShardSource`] (consumer side):
-//!
-//! * [`IngestMode::Ring`](crate::IngestMode::Ring) — the default: one
-//!   [`IngestRing`] per shard, a bounded power-of-two slot array that
-//!   producers publish whole routed batches into with **one lock
-//!   acquisition and one release store per batch**, and that the shard
-//!   worker drains lock-free. Slots are preallocated up front and hold
-//!   the submissions by value ([`Submission`] is `Copy`), so the hot
-//!   path performs no per-job allocation at all — the ring *is* the
-//!   job pool.
-//! * [`IngestMode::Channel`](crate::IngestMode::Channel) — the legacy
-//!   bounded MPSC channel carrying [`QueueMsg`] values, kept as the
-//!   reference path for A/B benchmarks (`ingestion_throughput`) and
-//!   the CI decision-stream divergence check.
+//! Each shard has one [`IngestRing`]: a bounded power-of-two slot array
+//! that producers publish whole routed batches into with **one lock
+//! acquisition and one release store per batch**, and that the shard
+//! worker drains lock-free through its [`RingConsumer`]. Slots are
+//! preallocated up front and hold the submissions by value
+//! ([`Submission`] is `Copy`), so the hot path performs no per-job
+//! allocation at all — the ring *is* the job pool.
 //!
 //! ## Ring layout and publish protocol
 //!
@@ -24,9 +16,7 @@
 //! cursors: `tail` (next write position, advanced by producers) and
 //! `head` (next read position, advanced by the single consumer). The
 //! occupied region is `[head, tail)`; `depth = tail - head` is exact,
-//! so unlike the channel path — which bounded *messages*, letting one
-//! batch message smuggle an unbounded number of jobs past the limit —
-//! ring capacity bounds **jobs**.
+//! and ring capacity bounds queued **jobs**, however they were batched.
 //!
 //! Producers serialize on a `Mutex` (uncontended in the single-producer
 //! case; one acquisition per *batch*, not per job, otherwise), write
@@ -47,7 +37,6 @@
 //! timeout and are notified by the consumer after it frees slots, or
 //! by `close`/`consumer_exit` on shutdown and shard failure.
 
-use crossbeam::channel::{Receiver, Sender};
 use cslack_kernel::Job;
 use cslack_obs::timeline::TimelineStamps;
 use std::cell::UnsafeCell;
@@ -62,27 +51,6 @@ use std::time::Duration;
 /// off the enqueue stamp and keeps stamping the later hops into the
 /// same array.
 pub(crate) type Submission = (Job, TimelineStamps);
-
-/// What travels through a legacy channel-mode shard queue: a single
-/// submission, or a batch that amortizes one channel operation over
-/// many jobs. A batch occupies one queue slot regardless of its length
-/// — channel capacity bounds *messages*, not jobs. (The ring path has
-/// no message envelope at all: jobs land directly in slots and
-/// capacity bounds jobs.)
-pub(crate) enum QueueMsg {
-    One(Submission),
-    Many(Vec<Submission>),
-}
-
-/// Recovers the lead job from a bounced queue message so submit errors
-/// can hand it back to the caller. Batch messages are never empty —
-/// the batch submit path skips shards with no routed jobs.
-pub(crate) fn msg_job(msg: QueueMsg) -> Job {
-    match msg {
-        QueueMsg::One((job, _)) => job,
-        QueueMsg::Many(batch) => batch[0].0,
-    }
-}
 
 /// Why a ring push did not (fully) enqueue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,8 +142,7 @@ impl IngestRing {
         self.mask + 1
     }
 
-    /// Jobs currently queued (exact, unlike the channel path's
-    /// message-granular accounting).
+    /// Jobs currently queued (exact).
     #[inline]
     pub(crate) fn depth(&self) -> u64 {
         let tail = self.tail.0.load(Ordering::Acquire);
@@ -249,8 +216,8 @@ impl IngestRing {
     /// Batches larger than the ring publish in chunks as slots free up
     /// — every chunk is one release store, and no job is ever published
     /// twice. Returns `Ok(stalled)` where `stalled` reports whether the
-    /// push ever had to wait (one backpressure stall per call, matching
-    /// the channel path's per-group accounting). On `Err((pushed, e))`
+    /// push ever had to wait (one backpressure stall per call, however
+    /// long the wait). On `Err((pushed, e))`
     /// exactly the first `pushed` items were enqueued and the rest were
     /// not.
     pub(crate) fn push_batch_blocking(
@@ -364,123 +331,56 @@ impl IngestRing {
 
 /// The consumer half of a ring, owned by the shard worker. Dropping it
 /// (normal exit, fault, or an unwind that escaped containment) marks
-/// the consumer gone, mirroring how dropping a channel `Receiver`
-/// disconnects blocked senders.
+/// the consumer gone, so producers blocked on a full ring wake with
+/// [`PushError::Gone`] instead of hanging.
 pub(crate) struct RingConsumer {
     ring: Arc<IngestRing>,
 }
 
 impl RingConsumer {
-    /// Binds the calling thread as the ring's consumer.
+    /// Binds the calling thread as the ring's consumer. Must run on the
+    /// worker thread, so producers unpark the right thread.
     pub(crate) fn new(ring: Arc<IngestRing>) -> RingConsumer {
         ring.register_consumer();
         RingConsumer { ring }
+    }
+
+    /// Blocks until at least one submission is available and fills
+    /// `batch` with up to `max` jobs in arrival order. Returns `false`
+    /// when the ring is closed and fully drained — the worker's exit
+    /// signal.
+    pub(crate) fn fill_batch(&self, batch: &mut Vec<Submission>, max: usize) -> bool {
+        loop {
+            if self.ring.pop_into(batch, max) > 0 {
+                return true;
+            }
+            if self.ring.is_closed() && self.ring.depth() == 0 {
+                return false;
+            }
+            self.ring.park_for_data();
+        }
+    }
+
+    /// Jobs still queued.
+    pub(crate) fn depth(&self) -> u64 {
+        self.ring.depth()
+    }
+
+    /// Fault-path drain: collects every queued submission that will
+    /// never be decided into `out`, in arrival order. The ring is
+    /// poisoned first (`consumer_exit`) so producers stop publishing
+    /// into the drain. Collecting (rather than counting) is what makes
+    /// recovery possible: the drained submissions are exactly the jobs
+    /// a replacement worker can re-offer.
+    pub(crate) fn drain_into(&self, out: &mut Vec<Submission>) {
+        self.ring.consumer_exit();
+        while self.ring.pop_into(out, usize::MAX) > 0 {}
     }
 }
 
 impl Drop for RingConsumer {
     fn drop(&mut self) {
         self.ring.consumer_exit();
-    }
-}
-
-/// Producer handle to one shard's queue, held by the engine.
-pub(crate) enum ShardQueue {
-    Channel(Sender<QueueMsg>),
-    Ring(Arc<IngestRing>),
-}
-
-impl ShardQueue {
-    /// Closes the transport for graceful shutdown. (Channel senders
-    /// close by being dropped; the caller clears the handle after.)
-    pub(crate) fn close(&self) {
-        if let ShardQueue::Ring(ring) = self {
-            ring.close();
-        }
-    }
-}
-
-/// Consumer handle to one shard's queue, owned by the worker.
-pub(crate) enum ShardSource {
-    Channel(Receiver<QueueMsg>),
-    Ring(RingConsumer),
-}
-
-impl ShardSource {
-    /// Blocks until at least one submission is available and fills
-    /// `batch` with up to `max` jobs in arrival order. Returns `false`
-    /// when the queue is closed and fully drained — the worker's exit
-    /// signal.
-    pub(crate) fn fill_batch(&self, batch: &mut Vec<Submission>, max: usize) -> bool {
-        match self {
-            ShardSource::Channel(rx) => {
-                fn extend(batch: &mut Vec<Submission>, msg: QueueMsg) {
-                    match msg {
-                        QueueMsg::One(sub) => batch.push(sub),
-                        QueueMsg::Many(subs) => batch.extend(subs),
-                    }
-                }
-                match rx.recv() {
-                    Ok(first) => extend(batch, first),
-                    Err(_) => return false,
-                }
-                // Keep draining messages until the decision batch is at
-                // least `max` jobs; a `Many` payload may overshoot the
-                // target, which is fine — it was one queue slot either
-                // way.
-                while batch.len() < max {
-                    match rx.try_recv() {
-                        Ok(msg) => extend(batch, msg),
-                        Err(_) => break,
-                    }
-                }
-                true
-            }
-            ShardSource::Ring(consumer) => loop {
-                if consumer.ring.pop_into(batch, max) > 0 {
-                    return true;
-                }
-                if consumer.ring.is_closed() && consumer.ring.depth() == 0 {
-                    return false;
-                }
-                consumer.ring.park_for_data();
-            },
-        }
-    }
-
-    /// Jobs still queued, when the transport can count them exactly
-    /// (the ring); `None` on the message-granular channel.
-    pub(crate) fn depth(&self) -> Option<u64> {
-        match self {
-            ShardSource::Channel(_) => None,
-            ShardSource::Ring(consumer) => Some(consumer.ring.depth()),
-        }
-    }
-
-    /// Fault-path drain: collects every queued submission that will
-    /// never be decided into `out`, in arrival order, and returns how
-    /// many were drained. The ring is poisoned first (`consumer_exit`)
-    /// so producers stop publishing into the drain. Collecting (rather
-    /// than counting) is what makes recovery possible: the drained
-    /// submissions are exactly the jobs a replacement worker can
-    /// re-offer.
-    pub(crate) fn drain_into(&self, out: &mut Vec<Submission>) -> u64 {
-        let before = out.len();
-        match self {
-            ShardSource::Channel(rx) => {
-                while let Ok(msg) = rx.try_recv() {
-                    match msg {
-                        QueueMsg::One(sub) => out.push(sub),
-                        QueueMsg::Many(subs) => out.extend(subs),
-                    }
-                }
-            }
-            ShardSource::Ring(consumer) => {
-                consumer.ring.consumer_exit();
-                while consumer.ring.pop_into(out, usize::MAX) > 0 {}
-            }
-        }
-        (out.len() - before) as u64
     }
 }
 

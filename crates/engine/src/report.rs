@@ -4,7 +4,7 @@
 use crate::error::ShardFailure;
 use crate::queue::Submission;
 use cslack_obs::flight::FlightSnapshot;
-use cslack_obs::{DecisionEvent, Histogram, RejectCounts};
+use cslack_obs::{Histogram, RejectCounts};
 use cslack_sim::audit::AuditReport;
 use serde::Serialize;
 
@@ -23,8 +23,6 @@ pub(crate) struct ShardOutcome {
     pub(crate) batches: u64,
     pub(crate) latency: Histogram,
     pub(crate) queue_wait: Histogram,
-    pub(crate) events: Vec<DecisionEvent>,
-    pub(crate) events_dropped: u64,
     /// Nanoseconds since engine start at the last completed batch,
     /// for the busy-window throughput measure (0 when idle).
     pub(crate) last_decision_ns: u64,
@@ -157,25 +155,19 @@ impl RecoveryStats {
 }
 
 /// The result of a drained engine: the merged cluster schedule plus the
-/// metrics snapshot and the recorded decision trace.
+/// metrics snapshot and the flight recording.
 #[derive(Debug)]
 pub struct EngineReport {
     /// The cluster-wide merged schedule (all invariants re-validated).
     pub schedule: cslack_kernel::Schedule,
     /// Metrics snapshot for the run.
     pub metrics: EngineMetrics,
-    /// Decision events recorded by the per-shard trace rings, ordered
-    /// by `(shard, seq)`. Empty unless
-    /// [`ObsConfig::trace_capacity`](crate::ObsConfig::trace_capacity)
-    /// was non-zero.
-    pub trace: Vec<DecisionEvent>,
-    /// Events the bounded rings overwrote (0 when the capacity covered
-    /// the whole run).
-    pub trace_dropped: u64,
     /// The flight recording of the run, with header counters taken from
     /// the engine's own metrics. `None` unless
     /// [`ObsConfig::flight`](crate::ObsConfig::flight) was set with a
-    /// nonzero capacity.
+    /// nonzero capacity. Its
+    /// [`decisions`](cslack_obs::FlightSnapshot::decisions), in `(shard,
+    /// seq)` order, are the run's decision trace.
     pub flight: Option<FlightSnapshot>,
     /// The finish-time invariant audit of the flight recording. `None`
     /// unless

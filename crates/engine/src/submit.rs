@@ -1,12 +1,12 @@
 //! Producer-side submission paths: single-job (non-blocking, blocking,
-//! deadline-bounded) and batched, over either ingestion transport.
+//! deadline-bounded) and batched, all publishing into the per-shard
+//! ingestion rings.
 
 use crate::engine::Engine;
 use crate::error::SubmitError;
-use crate::queue::{msg_job, IngestRing, PushError, QueueMsg, ShardQueue, Submission};
+use crate::queue::{IngestRing, PushError, Submission};
 use crate::shard_of;
 use crate::worker::saturating_ns;
-use crossbeam::channel::TrySendError;
 use cslack_kernel::Job;
 use cslack_obs::timeline::{Stage, TimelineStamps};
 use std::cell::RefCell;
@@ -15,9 +15,9 @@ use std::time::{Duration, Instant};
 
 /// Per-shard outcome of one batched submission.
 struct GroupResult {
-    /// How many of the shard's routed jobs were enqueued. The ring
-    /// transport can partially publish a group interrupted by shutdown
-    /// or a shard fault; the channel is all-or-nothing.
+    /// How many of the shard's routed jobs were enqueued. A group
+    /// interrupted by shutdown or a shard fault is partially published:
+    /// exactly this prefix landed.
     pushed: usize,
     err: Option<GroupErr>,
 }
@@ -82,9 +82,9 @@ impl Engine {
         stamps
     }
 
-    /// Maps a disconnected queue to the right submit error: a failed
-    /// shard's transport is torn down by its dying worker, which would
-    /// otherwise be indistinguishable from graceful shutdown.
+    /// Maps a refused push to the right submit error: a failed shard's
+    /// ring is poisoned by its dying worker, which would otherwise be
+    /// indistinguishable from graceful shutdown.
     fn closed_or_failed(&self, shard: usize, job: Job) -> SubmitError {
         if self.health.is_failed(shard) {
             SubmitError::ShardFailed(job)
@@ -105,29 +105,17 @@ impl Engine {
             return Err(SubmitError::ShardFailed(job));
         }
         let slot = self.shards[shard].read_slot();
-        match &slot.queue {
-            Some(ShardQueue::Ring(ring)) => match ring.try_push((job, self.inprocess_stamps())) {
-                Ok(()) => {
-                    self.note_enqueue();
-                    self.publish_depth(shard, ring);
-                    Ok(())
-                }
-                Err(PushError::Full) => Err(SubmitError::Full(job)),
-                Err(PushError::Closed | PushError::Gone) => Err(self.closed_or_failed(shard, job)),
-            },
-            Some(ShardQueue::Channel(tx)) => {
-                match tx.try_send(QueueMsg::One((job, self.inprocess_stamps()))) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        Ok(())
-                    }
-                    Err(TrySendError::Full(msg)) => Err(SubmitError::Full(msg_job(msg))),
-                    Err(TrySendError::Disconnected(msg)) => {
-                        Err(self.closed_or_failed(shard, msg_job(msg)))
-                    }
-                }
+        let Some(ring) = &slot.queue else {
+            return Err(SubmitError::Closed(job));
+        };
+        match ring.try_push((job, self.inprocess_stamps())) {
+            Ok(()) => {
+                self.note_enqueue();
+                self.publish_depth(shard, ring);
+                Ok(())
             }
-            None => Err(SubmitError::Closed(job)),
+            Err(PushError::Full) => Err(SubmitError::Full(job)),
+            Err(PushError::Closed | PushError::Gone) => Err(self.closed_or_failed(shard, job)),
         }
     }
 
@@ -135,53 +123,29 @@ impl Engine {
     ///
     /// A full queue is counted as a backpressure stall (metric
     /// `backpressure_stalls`) and then waited out — the job is never
-    /// dropped. A shard that failed mid-wait tears down its transport,
-    /// so the blocked send returns [`SubmitError::ShardFailed`] rather
-    /// than hanging.
+    /// dropped. A shard that failed mid-wait poisons its ring, so the
+    /// blocked push returns [`SubmitError::ShardFailed`] rather than
+    /// hanging.
     pub fn submit(&self, job: Job) -> Result<(), SubmitError> {
         let shard = shard_of(job.id, self.shards.len());
         if self.health.is_failed(shard) {
             return Err(SubmitError::ShardFailed(job));
         }
         let slot = self.shards[shard].read_slot();
-        match &slot.queue {
-            Some(ShardQueue::Ring(ring)) => {
-                let sub = (job, self.inprocess_stamps());
-                match ring.push_batch_blocking(std::slice::from_ref(&sub)) {
-                    Ok(stalled) => {
-                        if stalled {
-                            self.note_stall();
-                        }
-                        self.note_enqueue();
-                        self.publish_depth(shard, ring);
-                        Ok(())
-                    }
-                    Err(_) => Err(self.closed_or_failed(shard, job)),
+        let Some(ring) = &slot.queue else {
+            return Err(SubmitError::Closed(job));
+        };
+        let sub = (job, self.inprocess_stamps());
+        match ring.push_batch_blocking(std::slice::from_ref(&sub)) {
+            Ok(stalled) => {
+                if stalled {
+                    self.note_stall();
                 }
+                self.note_enqueue();
+                self.publish_depth(shard, ring);
+                Ok(())
             }
-            Some(ShardQueue::Channel(tx)) => {
-                let payload = match tx.try_send(QueueMsg::One((job, self.inprocess_stamps()))) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        return Ok(());
-                    }
-                    Err(TrySendError::Disconnected(msg)) => {
-                        return Err(self.closed_or_failed(shard, msg_job(msg)))
-                    }
-                    Err(TrySendError::Full(payload)) => {
-                        self.note_stall();
-                        payload
-                    }
-                };
-                match tx.send(payload) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        Ok(())
-                    }
-                    Err(e) => Err(self.closed_or_failed(shard, msg_job(e.into_inner()))),
-                }
-            }
-            None => Err(SubmitError::Closed(job)),
+            Err(_) => Err(self.closed_or_failed(shard, job)),
         }
     }
 
@@ -192,18 +156,15 @@ impl Engine {
     /// are grouped by their deterministic shard route with relative
     /// order preserved, so the per-shard arrival streams — and
     /// therefore the decision streams — are identical to submitting
-    /// the same slice job-by-job through [`Engine::submit`], on either
-    /// ingestion transport.
+    /// the same slice job-by-job through [`Engine::submit`].
     ///
     /// Returns one `Result` per input job, in input order. A full
     /// shard queue is waited out like [`Engine::submit`] (counted as
     /// one backpressure stall per shard-group, not per job); a failed
     /// or closed shard fails its jobs with [`SubmitError::ShardFailed`]
     /// / [`SubmitError::Closed`] while the other shards' groups still
-    /// enqueue. On the default ring transport capacity bounds queued
-    /// *jobs*; on the legacy channel a batched shard-group occupies a
-    /// single queue slot whatever its length, so `queue_capacity`
-    /// bounds queued *messages*.
+    /// enqueue. Ring capacity bounds queued *jobs*: a group larger than
+    /// the free space publishes in chunks as the worker drains.
     ///
     /// Callers on a hot path should prefer
     /// [`Engine::submit_batch_into`], which performs no per-call
@@ -332,7 +293,7 @@ impl Engine {
                 groups[shard_of(job.id, shards)].push((*job, stamps));
             }
             outcomes.clear();
-            for (shard, group) in groups.iter_mut().take(shards).enumerate() {
+            for (shard, group) in groups.iter().take(shards).enumerate() {
                 outcomes.push(self.submit_group(shard, group));
             }
         });
@@ -342,7 +303,7 @@ impl Engine {
     /// enqueued; a full queue is waited out (one stall per group); a
     /// failed or closed shard reports the error with an exact `pushed`
     /// prefix so partial ring publishes map back to per-job results.
-    fn submit_group(&self, shard: usize, group: &mut Vec<Submission>) -> GroupResult {
+    fn submit_group(&self, shard: usize, group: &[Submission]) -> GroupResult {
         let len = group.len();
         if len == 0 {
             return GroupResult {
@@ -358,74 +319,38 @@ impl Engine {
         }
         // Holding the read guard for the whole publish keeps a
         // concurrent `restart_shard` (write lock) from swapping the
-        // transport out from under a partially pushed group.
+        // ring out from under a partially pushed group.
         let slot = self.shards[shard].read_slot();
-        let Some(queue) = slot.queue.as_ref() else {
+        let Some(ring) = slot.queue.as_ref() else {
             return GroupResult {
                 pushed: 0,
                 err: Some(GroupErr::Closed),
             };
         };
-        let group_err = |pushed: usize| GroupResult {
-            pushed,
-            err: Some(if self.health.is_failed(shard) {
-                GroupErr::Failed
-            } else {
-                GroupErr::Closed
-            }),
+        let outcome = match ring.push_batch_blocking(group) {
+            Ok(stalled) => {
+                if stalled {
+                    self.note_stall();
+                }
+                GroupResult {
+                    pushed: len,
+                    err: None,
+                }
+            }
+            Err((pushed, _)) => GroupResult {
+                pushed,
+                err: Some(if self.health.is_failed(shard) {
+                    GroupErr::Failed
+                } else {
+                    GroupErr::Closed
+                }),
+            },
         };
-        match queue {
-            ShardQueue::Ring(ring) => {
-                let result = ring.push_batch_blocking(group);
-                let outcome = match result {
-                    Ok(stalled) => {
-                        if stalled {
-                            self.note_stall();
-                        }
-                        GroupResult {
-                            pushed: len,
-                            err: None,
-                        }
-                    }
-                    Err((pushed, _)) => group_err(pushed),
-                };
-                if outcome.pushed > 0 {
-                    self.note_enqueue();
-                    self.publish_depth(shard, ring);
-                }
-                outcome
-            }
-            ShardQueue::Channel(tx) => {
-                // The channel takes ownership of the payload, so the
-                // legacy path gives up the scratch buffer (and its
-                // capacity) each call — one of the allocations the ring
-                // transport exists to remove.
-                let payload = match tx.try_send(QueueMsg::Many(std::mem::take(group))) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        return GroupResult {
-                            pushed: len,
-                            err: None,
-                        };
-                    }
-                    Err(TrySendError::Disconnected(_)) => return group_err(0),
-                    Err(TrySendError::Full(payload)) => {
-                        self.note_stall();
-                        payload
-                    }
-                };
-                match tx.send(payload) {
-                    Ok(()) => {
-                        self.note_enqueue();
-                        GroupResult {
-                            pushed: len,
-                            err: None,
-                        }
-                    }
-                    Err(_) => group_err(0),
-                }
-            }
+        if outcome.pushed > 0 {
+            self.note_enqueue();
+            self.publish_depth(shard, ring);
         }
+        outcome
     }
 
     /// Counts one backpressure stall (report counter + live registry).

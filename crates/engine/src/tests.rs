@@ -6,7 +6,7 @@ use cslack_algorithms::{Decision, Greedy, OnlineScheduler, Threshold};
 use cslack_kernel::{InstanceBuilder, Job, JobId, MachineId, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot, StampedDecision};
 use cslack_obs::timeline::Stage;
-use cslack_obs::{MetricsRegistry, RejectReason};
+use cslack_obs::{DecisionEvent, MetricsRegistry, RejectReason};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -197,18 +197,20 @@ fn zero_submissions_yield_all_zero_latency_stats() {
     assert_eq!(report.metrics.latency, LatencyStats::default());
     assert_eq!(report.metrics.queue_wait, LatencyStats::default());
     assert_eq!(report.metrics.latency.min_ns, 0, "no garbage minima");
-    assert!(report.trace.is_empty());
+    assert!(report.flight.is_none(), "a dark engine records nothing");
 }
 
 #[test]
-fn trace_reproduces_counters_and_types_every_rejection() {
+fn trace_export_reproduces_counters_and_types_every_rejection() {
     // Tight unit jobs on a small threshold cluster: a healthy mix
     // of accepts and threshold rejections.
     let n = 400u32;
     let registry = Arc::new(MetricsRegistry::enabled());
     let obs = ObsConfig {
         registry: Some(Arc::clone(&registry)),
-        trace_capacity: n as usize,
+        // A flight ring holding every decision of the run; its
+        // decisions are the run's trace.
+        flight: Some(FlightConfig::new(n as usize, "threshold", 0.5, 0)),
         ..ObsConfig::default()
     };
     let engine = Engine::start_observed(4, EngineConfig::new(2), obs, |_, g| {
@@ -220,22 +222,39 @@ fn trace_reproduces_counters_and_types_every_rejection() {
         engine.submit(job).unwrap();
     }
     let report = engine.finish().unwrap();
-    assert_eq!(report.trace_dropped, 0);
-    assert_eq!(report.trace.len(), n as usize);
+    let snap = report.flight.as_ref().expect("flight recording requested");
+    assert_eq!(snap.total_dropped(), 0);
+    // The export: exactly what `serve-bench --trace-out` writes, read
+    // back the way `trace-summary` reads it.
+    let mut jsonl = Vec::new();
+    let export: Vec<DecisionEvent> = snap.decisions().into_iter().cloned().collect();
+    cslack_obs::write_jsonl(&export, &mut jsonl).unwrap();
+    let trace = cslack_obs::read_jsonl(jsonl.as_slice()).unwrap();
+    assert_eq!(trace, export);
+    assert_eq!(trace.len(), n as usize);
     // Trace is ordered by (shard, seq).
-    for pair in report.trace.windows(2) {
+    for pair in trace.windows(2) {
         assert!(
             (pair[0].shard, pair[0].seq) < (pair[1].shard, pair[1].seq),
             "trace must be sorted by (shard, seq)"
         );
     }
-    let summary = cslack_obs::summarize(&report.trace);
+    let summary = cslack_obs::summarize(&trace).unwrap();
+    assert_eq!(summary.dropped, 0);
     assert_eq!(summary.decisions, report.metrics.submitted);
     assert_eq!(summary.accepted, report.metrics.accepted);
     assert_eq!(summary.rejected, report.metrics.rejected_by_reason);
     assert_eq!(summary.rejected.total(), report.metrics.rejected);
+    for (row, shard) in summary.per_shard.iter().zip(&report.metrics.per_shard) {
+        assert_eq!(
+            (row.decisions, row.accepted, row.rejected),
+            (shard.submitted, shard.accepted, shard.rejected_by_reason),
+            "shard {} disagrees with the engine",
+            shard.shard
+        );
+    }
     assert!(report.metrics.rejected > 0, "instance should reject some");
-    for event in &report.trace {
+    for event in &trace {
         if event.accepted {
             assert!(event.reject_reason.is_none());
             assert!(event.machine.is_some() && event.start.is_some());
@@ -267,8 +286,11 @@ fn trace_reproduces_counters_and_types_every_rejection() {
 }
 
 #[test]
-fn trace_ring_bounds_memory_and_counts_drops() {
-    let obs = ObsConfig::traced(8);
+fn trace_export_bounds_memory_and_counts_drops() {
+    let obs = ObsConfig {
+        flight: Some(FlightConfig::new(8, "greedy", 0.5, 0)),
+        ..ObsConfig::default()
+    };
     let engine = Engine::start_observed(1, EngineConfig::new(1), obs, greedy_builder).unwrap();
     for id in 0..32u32 {
         engine
@@ -276,11 +298,25 @@ fn trace_ring_bounds_memory_and_counts_drops() {
             .unwrap();
     }
     let report = engine.finish().unwrap();
-    assert_eq!(report.trace.len(), 8, "ring caps the trace");
-    assert_eq!(report.trace_dropped, 24);
-    // The kept window is the most recent one.
-    let seqs: Vec<u64> = report.trace.iter().map(|e| e.seq).collect();
+    let trace: Vec<DecisionEvent> = report
+        .flight
+        .as_ref()
+        .unwrap()
+        .decisions()
+        .into_iter()
+        .cloned()
+        .collect();
+    assert_eq!(trace.len(), 8, "the flight capacity caps the export");
+    // The kept window is the most recent one, and the summary infers
+    // the loss from the seq gap alone.
+    let seqs: Vec<u64> = trace.iter().map(|e| e.seq).collect();
     assert_eq!(seqs, (24..32).collect::<Vec<u64>>());
+    let summary = cslack_obs::summarize(&trace).unwrap();
+    assert_eq!(summary.dropped, 24);
+    assert_eq!(
+        summary.decisions + summary.dropped,
+        report.metrics.submitted
+    );
 }
 
 #[test]
@@ -604,7 +640,7 @@ fn submit_batch_into_reports_failures_without_allocation_on_success() {
 
 #[test]
 fn decision_channel_streams_every_decision_and_closes_on_finish() {
-    let (tx, rx) = crossbeam::channel::unbounded::<StampedDecision>();
+    let (tx, rx) = std::sync::mpsc::channel::<StampedDecision>();
     let obs = ObsConfig {
         decisions: Some(tx),
         ..ObsConfig::default()

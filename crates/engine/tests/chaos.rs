@@ -9,8 +9,8 @@
 
 use cslack_algorithms::{Greedy, OnlineScheduler, Threshold};
 use cslack_engine::{
-    Engine, EngineConfig, EngineError, FailureKind, FlightConfig, IngestConfig, IngestMode,
-    ObsConfig, ObservatoryConfig, ShardState, SubmitError,
+    Engine, EngineConfig, EngineError, FailureKind, FlightConfig, IngestConfig, ObsConfig,
+    ObservatoryConfig, ShardState, SubmitError,
 };
 use cslack_kernel::{validate_schedule, InstanceBuilder, Job, JobId, Time};
 use cslack_obs::{FlightSnapshot, MetricsRegistry};
@@ -637,8 +637,8 @@ fn healthz_and_metrics_are_never_stale_across_fail_and_recover() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: the queued_lost conservation identity, property-tested
-// across failure positions and both ingest transports.
+// The queued_lost conservation identity, property-tested across
+// failure positions.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -646,16 +646,11 @@ proptest! {
     #[test]
     fn queued_lost_conserves_jobs_across_failure_positions(
         pos in 0u64..45,
-        ring in any::<bool>(),
     ) {
-        let ingest = IngestConfig {
-            mode: if ring { IngestMode::Ring } else { IngestMode::Channel },
-            ..IngestConfig::default()
-        };
         let engine = Engine::start_with_ingest(
             4,
             EngineConfig::new(2),
-            ingest,
+            IngestConfig::default(),
             ObsConfig::default(),
             faulty_greedy(0, &format!("panic@{pos}")),
         )
@@ -668,11 +663,11 @@ proptest! {
         // The identity: everything shard 0 received is decided (seq),
         // the failing job (1), or drained into queued_lost — and what
         // never got in bounced. The failing job must be counted once,
-        // whatever its batch position and whichever the transport.
+        // whatever its batch position.
         prop_assert_eq!(
             f.seq + 1 + f.queued_lost + bounced,
             50,
-            "decided={} queued_lost={} bounced={bounced} (ring={ring})",
+            "decided={} queued_lost={} bounced={bounced}",
             f.seq,
             f.queued_lost
         );

@@ -1,5 +1,4 @@
-//! Ingestion-plane contracts: the per-shard ring transport must be
-//! observationally equivalent to the legacy channel it replaced.
+//! Ingestion-plane contracts of the per-shard rings.
 //!
 //! * **Order** — multi-producer routing into rings preserves each
 //!   producer's per-shard submission order (batches publish whole, a
@@ -7,17 +6,18 @@
 //! * **Backpressure** — a full ring is a deterministic, typed
 //!   [`SubmitError::Full`]: with the worker wedged, exactly
 //!   `ring_capacity` jobs fit and the next `try_submit` bounces with
-//!   the job handed back. Same contract on the channel transport.
-//! * **Equivalence** — for a fixed instance and shard count, the ring
-//!   and channel transports produce bit-identical decision streams
-//!   (same `(shard, seq)` order, same decisions, same commitments).
-//! * **Faults** — a shard panic on the ring transport drains the ring,
+//!   the job handed back.
+//! * **Equivalence** — for a fixed instance and shard count, per-job
+//!   and batched submission produce bit-identical decision streams
+//!   (same `(shard, seq)` order, same decisions, same commitments),
+//!   and the recording replays bit-identically.
+//! * **Faults** — a shard panic drains the shard's ring,
 //!   accounts the queued-but-undecided jobs, writes the crash snapshot
 //!   at failure time, and still finishes degraded.
 
 use cslack_algorithms::{Decision, Greedy, OnlineScheduler, Threshold};
 use cslack_engine::{
-    Engine, EngineConfig, FailureKind, FlightConfig, IngestConfig, IngestMode, ObsConfig,
+    Engine, EngineConfig, EngineReport, FailureKind, FlightConfig, IngestConfig, ObsConfig,
     SubmitError,
 };
 use cslack_kernel::{validate_schedule, Job, JobId, Time};
@@ -142,108 +142,118 @@ impl OnlineScheduler for Wedge {
 }
 
 /// With the single worker wedged on job 0 (already taken out of the
-/// queue), exactly `capacity` further jobs fit; the next `try_submit`
-/// is a typed `Full` that hands the job back. Exercised on both
-/// transports — the ring bounds jobs, and for single-job submissions
-/// the channel's message bound coincides.
+/// ring), exactly `capacity` further jobs fit; the next `try_submit`
+/// is a typed `Full` that hands the job back.
 #[test]
-fn queue_full_backpressure_is_deterministic_on_both_transports() {
+fn ring_full_backpressure_is_deterministic() {
     const CAP: usize = 8;
-    for mode in [IngestMode::Ring, IngestMode::Channel] {
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release = Arc::new(Mutex::new(release_rx));
-        let mut config = EngineConfig::new(1);
-        config.queue_capacity = CAP;
-        let ingest = IngestConfig {
-            mode,
-            ring_capacity: Some(CAP),
-            ..IngestConfig::default()
-        };
-        let engine = Engine::start_with_ingest(1, config, ingest, ObsConfig::default(), {
-            let started = started_tx.clone();
-            let release = Arc::clone(&release);
-            move |_, _| {
-                Box::new(Wedge {
-                    started: started.clone(),
-                    release: Arc::clone(&release),
-                })
-            }
-        })
-        .unwrap();
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release = Arc::new(Mutex::new(release_rx));
+    let mut config = EngineConfig::new(1);
+    config.queue_capacity = CAP;
+    let ingest = IngestConfig {
+        ring_capacity: Some(CAP),
+        ..IngestConfig::default()
+    };
+    let engine = Engine::start_with_ingest(1, config, ingest, ObsConfig::default(), {
+        let started = started_tx.clone();
+        let release = Arc::clone(&release);
+        move |_, _| {
+            Box::new(Wedge {
+                started: started.clone(),
+                release: Arc::clone(&release),
+            })
+        }
+    })
+    .unwrap();
 
-        engine.try_submit(loose_job(0)).unwrap();
-        started_rx.recv().expect("worker reached the scheduler");
-        // The worker holds job 0 and is wedged; the queue is empty.
-        for id in 1..=CAP as u32 {
-            engine
-                .try_submit(loose_job(id))
-                .unwrap_or_else(|e| panic!("[{mode:?}] job {id} must fit: {e}"));
-        }
-        match engine.try_submit(loose_job(CAP as u32 + 1)) {
-            Err(SubmitError::Full(job)) => {
-                assert_eq!(job.id, JobId(CAP as u32 + 1), "the job comes back intact");
-            }
-            other => panic!("[{mode:?}] expected Full, got {other:?}"),
-        }
-        drop(release_tx); // un-wedge: every blocked recv fails fast
-        let report = engine.finish().unwrap();
-        assert_eq!(
-            report.metrics.submitted,
-            CAP as u64 + 1,
-            "[{mode:?}] the bounced job never reached a queue"
-        );
+    engine.try_submit(loose_job(0)).unwrap();
+    started_rx.recv().expect("worker reached the scheduler");
+    // The worker holds job 0 and is wedged; the ring is empty.
+    for id in 1..=CAP as u32 {
+        engine
+            .try_submit(loose_job(id))
+            .unwrap_or_else(|e| panic!("job {id} must fit: {e}"));
     }
+    match engine.try_submit(loose_job(CAP as u32 + 1)) {
+        Err(SubmitError::Full(job)) => {
+            assert_eq!(job.id, JobId(CAP as u32 + 1), "the job comes back intact");
+        }
+        other => panic!("expected Full, got {other:?}"),
+    }
+    drop(release_tx); // un-wedge: every blocked recv fails fast
+    let report = engine.finish().unwrap();
+    assert_eq!(
+        report.metrics.submitted,
+        CAP as u64 + 1,
+        "the bounced job never reached a ring"
+    );
 }
 
-/// Same instance, same shard count: the ring and channel transports
-/// must produce bit-identical decision streams — identical `(shard,
-/// seq)` interleavings, decisions, thresholds, and commitments (only
-/// wall-clock latency fields may differ).
+/// Same instance, same shard count: per-job `submit` and batched
+/// `submit_batch_into` (chunks of 64, straddling shards) must produce
+/// bit-identical decision streams — identical `(shard, seq)`
+/// interleavings, decisions, thresholds, and commitments (only
+/// wall-clock latency fields may differ) — and the recording must
+/// replay bit-identically.
 #[test]
-fn ring_and_channel_decision_streams_are_identical() {
+fn perjob_and_batched_decision_streams_are_identical_and_replay() {
     let n = 2_000;
     let inst = WorkloadSpec::default_spec(M, EPS, n, 7)
         .generate()
         .expect("workload generation");
     let shards = 4;
-
-    let mut streams: Vec<Vec<DecisionEvent>> = Vec::new();
-    let mut accepted: Vec<u64> = Vec::new();
-    for ingest in [IngestConfig::default(), IngestConfig::channel()] {
-        let engine = Engine::start_with_ingest(
+    let start = || {
+        Engine::start_with_ingest(
             M,
             EngineConfig::new(shards),
-            ingest,
+            IngestConfig::default(),
             flight_obs(n),
             |_, g| Box::new(Threshold::new(g, EPS)),
         )
-        .unwrap();
-        let mut failures = Vec::new();
-        for chunk in inst.jobs().chunks(64) {
-            assert_eq!(
-                engine.submit_batch_into(chunk, &mut failures),
-                chunk.len(),
-                "healthy engine enqueues everything"
-            );
-        }
-        let report = engine.finish().unwrap();
+        .unwrap()
+    };
+    let stream = |report: &EngineReport| -> Vec<DecisionEvent> {
         assert!(validate_schedule(&inst, &report.schedule).is_valid());
-        accepted.push(report.metrics.accepted);
-        let snap = report.flight.expect("flight recording requested");
+        let snap = report.flight.as_ref().expect("flight recording requested");
         let mut stream: Vec<DecisionEvent> = snap.decisions().into_iter().map(timeless).collect();
         stream.sort_by_key(|d| (d.shard, d.seq));
-        streams.push(stream);
+        stream
+    };
+
+    let engine = start();
+    for job in inst.jobs() {
+        engine.submit(*job).unwrap();
     }
-    assert_eq!(accepted[0], accepted[1], "accepted counts diverged");
-    assert!(accepted[0] > 0, "degenerate run");
+    let perjob = engine.finish().unwrap();
+
+    let engine = start();
+    let mut failures = Vec::new();
+    for chunk in inst.jobs().chunks(64) {
+        assert_eq!(
+            engine.submit_batch_into(chunk, &mut failures),
+            chunk.len(),
+            "healthy engine enqueues everything"
+        );
+    }
+    let batched = engine.finish().unwrap();
+
+    assert_eq!(perjob.metrics.accepted, batched.metrics.accepted);
+    assert!(batched.metrics.accepted > 0, "degenerate run");
     assert_eq!(
-        streams[0], streams[1],
-        "ring vs channel decision streams diverged"
+        stream(&perjob),
+        stream(&batched),
+        "per-job vs batched decision streams diverged"
     );
+    let snap = batched.flight.as_ref().unwrap();
+    let replay =
+        cslack_sim::audit::replay_snapshot(snap, |_, g| Box::new(Threshold::new(g, EPS))).unwrap();
+    assert!(replay.is_identical(), "{:?}", replay.divergence);
+    assert_eq!(replay.decisions_replayed, n as u64);
 }
 
-/// Chaos on the explicit ring transport: a shard panic mid-stream
+/// Chaos on an explicitly sized ring: a shard panic mid-stream
 /// drains its ring (lost jobs accounted, producers unblocked), writes
 /// the crash snapshot at failure time, and the run still finishes
 /// degraded with the healthy shard's schedule intact.
@@ -255,7 +265,6 @@ fn ring_shard_panic_drains_ring_and_writes_crash_snapshot() {
     flight.snapshot_on_error = Some(path.clone());
     let spec: FaultSpec = "panic@5".parse().unwrap();
     let ingest = IngestConfig {
-        mode: IngestMode::Ring,
         ring_capacity: Some(64),
         ..IngestConfig::default()
     };

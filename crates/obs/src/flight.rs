@@ -16,23 +16,28 @@
 //! the threshold admission rule from the trace alone) — see
 //! `cslack_sim::audit`.
 //!
-//! The ring stores one compact in-memory record per decision —
-//! recording is a single bounded struct write, and with
-//! [`FlightRing::preallocate`] the ring never allocates or page-faults
-//! after setup. The submission and commitment events a snapshot carries
-//! are pure projections of the decision record, so they are synthesized
-//! at snapshot time by [`expand_decision_stream`] rather than paid for
-//! on the hot path. The fixed-size [`RECORD_SIZE`]-byte little-endian
-//! wire encoding is likewise applied only when a snapshot is serialized.
+//! Each shard records into its own [`SharedFlightRing`]: one
+//! fixed-size [`RECORD_SIZE`]-byte little-endian record per decision,
+//! written with relaxed word stores into a buffer touched at setup, so
+//! the hot path never allocates or page-faults. The submission and
+//! commitment events a snapshot carries are pure projections of the
+//! decision record, so they are synthesized at snapshot time by
+//! [`expand_decision_stream`] rather than paid for on the hot path.
 //! When the ring is full the oldest record is overwritten and counted in
-//! [`FlightRing::dropped`] — a long run keeps the most recent window
-//! instead of stalling the shard.
+//! [`SharedFlightRing::dropped`] — a long run keeps the most recent
+//! window instead of stalling the shard.
+//!
+//! The decision records are also the engine's only per-decision trace:
+//! a JSONL decision trace is an export of [`FlightSnapshot::decisions`]
+//! through [`crate::trace::write_jsonl`].
 //!
 //! The `.cfr` ("cslack flight recording") container holds a header with
 //! the run parameters needed for deterministic replay (`m`, shard
 //! count, `eps`, seed, algorithm label) plus the engine's own counters,
 //! followed by one record block per shard, and ends in an FNV-1a
 //! checksum so a truncated or bit-flipped file is rejected on read.
+//! There is one container version ([`CFR_VERSION`]) and one record
+//! width; a file with any other version word is refused.
 
 use crate::timeline::{TimelineStamps, STAGES};
 use crate::trace::{DecisionEvent, RejectCounts, RejectReason};
@@ -40,21 +45,23 @@ use std::io::{Read, Write};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
-/// Size in bytes of one encoded flight record (format v2: the v1 layout
-/// plus one u64 timeline stamp per [`crate::timeline::Stage`]).
-pub const RECORD_SIZE: usize = RECORD_SIZE_V1 + STAGES * 8;
+/// Byte offset of the timeline stamp block inside a record.
+const STAMPS_OFFSET: usize = 96;
 
-/// Size in bytes of one v1 record (no timeline stamps).
-pub const RECORD_SIZE_V1: usize = 96;
+/// Size in bytes of one encoded flight record: the decision fields plus
+/// one u64 timeline stamp per [`crate::timeline::Stage`].
+pub const RECORD_SIZE: usize = STAMPS_OFFSET + STAGES * 8;
 
-/// Magic bytes opening a `.cfr` file (unchanged across versions).
+/// Magic bytes opening a `.cfr` file.
 pub const CFR_MAGIC: &[u8; 4] = b"CFR1";
 
-/// Current `.cfr` container version (v2 = stage-stamped records).
+/// The `.cfr` container version this build writes and reads
+/// (stage-stamped records). Any other version is refused.
 pub const CFR_VERSION: u32 = 2;
 
-/// Oldest `.cfr` container version still readable.
-pub const CFR_MIN_VERSION: u32 = 1;
+/// Bytes of a shard block's header in a `.cfr` body: shard index
+/// (u32), dropped count (u64), record count (u64).
+const SHARD_BLOCK_HEADER: usize = 4 + 8 + 8;
 
 const KIND_SUBMISSION: u8 = 0;
 const KIND_DECISION: u8 = 1;
@@ -76,7 +83,7 @@ const FLAG_REJECT_REASON: u8 = 1 << 4;
 pub struct StampedDecision {
     /// The decision the shard produced.
     pub event: DecisionEvent,
-    /// Nanosecond stamps per pipeline stage (all zero on v1 records).
+    /// Nanosecond stamps per pipeline stage (0 = stage not stamped).
     pub stamps: TimelineStamps,
 }
 
@@ -86,7 +93,8 @@ impl StampedDecision {
         StampedDecision { event, stamps }
     }
 
-    /// A decision with no timeline data (pre-v2 sources).
+    /// A decision with no timeline data (e.g. one read back from a
+    /// JSONL trace, which carries no stamps).
     pub fn unstamped(event: DecisionEvent) -> StampedDecision {
         StampedDecision {
             event,
@@ -213,11 +221,8 @@ fn reject_reason_from_code(code: u8) -> Result<RejectReason, String> {
 ///  72    8  start         f64 (valid when flagged)
 ///  80    8  latency_ns    u64
 ///  88    8  queue_wait_ns u64
-///  96   56  timeline stamps, 7 × u64 ns in stage order (v2; 0 = absent)
+///  96   56  timeline stamps, 7 × u64 ns in stage order (0 = absent)
 /// ```
-///
-/// Bytes 0–95 are exactly the v1 record: a v2 reader decodes a v1
-/// record by treating the missing stamp block as all-absent.
 pub fn encode_event(event: &FlightEvent) -> [u8; RECORD_SIZE] {
     let mut rec = [0u8; RECORD_SIZE];
     encode_event_to(&mut rec, event);
@@ -318,7 +323,7 @@ fn encode_decision_to(rec: &mut [u8], d: &DecisionEvent, stamps: &TimelineStamps
     put_u64(rec, 80, d.latency_ns);
     put_u64(rec, 88, d.queue_wait_ns);
     for (i, &stamp) in stamps.0.iter().enumerate() {
-        put_u64(rec, RECORD_SIZE_V1 + i * 8, stamp);
+        put_u64(rec, STAMPS_OFFSET + i * 8, stamp);
     }
 }
 
@@ -378,15 +383,12 @@ pub fn expand_decision_stream(events: Vec<FlightEvent>) -> Vec<FlightEvent> {
     out
 }
 
-/// Decodes one fixed-size binary record back into its event.
-///
-/// Accepts both record widths: a [`RECORD_SIZE_V1`]-byte v1 record
-/// decodes with all-absent timeline stamps, a [`RECORD_SIZE`]-byte v2
-/// record carries them.
+/// Decodes one fixed-size [`RECORD_SIZE`]-byte record back into its
+/// event.
 pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
-    if rec.len() != RECORD_SIZE && rec.len() != RECORD_SIZE_V1 {
+    if rec.len() != RECORD_SIZE {
         return Err(format!(
-            "flight record must be {RECORD_SIZE} (v2) or {RECORD_SIZE_V1} (v1) bytes, got {}",
+            "flight record must be {RECORD_SIZE} bytes, got {}",
             rec.len()
         ));
     }
@@ -408,10 +410,8 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
         },
         KIND_DECISION => {
             let mut stamps = TimelineStamps::empty();
-            if rec.len() == RECORD_SIZE {
-                for (i, slot) in stamps.0.iter_mut().enumerate() {
-                    *slot = get_u64(RECORD_SIZE_V1 + i * 8);
-                }
+            for (i, slot) in stamps.0.iter_mut().enumerate() {
+                *slot = get_u64(STAMPS_OFFSET + i * 8);
             }
             FlightEvent::Decision(StampedDecision {
                 event: DecisionEvent {
@@ -447,149 +447,6 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
         },
         other => return Err(format!("unknown flight record kind {other}")),
     })
-}
-
-/// A bounded single-writer ring of flight records.
-///
-/// Slots hold [`FlightEvent`] values directly: recording one event is a
-/// plain struct store — no per-event allocation, no serialization (the
-/// [`RECORD_SIZE`]-byte wire encoding is paid only when a snapshot is
-/// written to a `.cfr` container), no locks (callers that share a ring
-/// across threads wrap it in a mutex, held at batch granularity). When
-/// full, the oldest record is overwritten and counted in
-/// [`FlightRing::dropped`].
-#[derive(Clone, Debug)]
-pub struct FlightRing {
-    cap: usize,
-    buf: Vec<FlightEvent>,
-    len: usize,
-    head: usize,
-    dropped: u64,
-}
-
-impl FlightRing {
-    /// A ring holding at most `capacity` records (0 disables recording:
-    /// every push is counted as dropped).
-    pub fn new(capacity: usize) -> FlightRing {
-        FlightRing {
-            cap: capacity,
-            buf: Vec::new(),
-            len: 0,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends one event, overwriting the oldest record when full.
-    ///
-    /// One struct copy into the slot — the engine's per-decision hot
-    /// path.
-    pub fn record(&mut self, event: &FlightEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.capacity() == 0 {
-            self.buf.reserve_exact(self.cap);
-        }
-        if self.len < self.cap {
-            // Slots are filled in order before any wrap, so an unseen
-            // slot is always the next append.
-            self.buf.push(event.clone());
-            self.len += 1;
-        } else {
-            self.buf[self.head] = event.clone();
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// [`FlightRing::record`] for a decision, building the
-    /// [`FlightEvent::Decision`] wrapper directly in the slot instead of
-    /// round-tripping the ~128-byte payload through a caller-side enum.
-    pub fn record_decision(&mut self, decision: &DecisionEvent) {
-        self.record_with(|| FlightEvent::Decision(StampedDecision::unstamped(decision.clone())));
-    }
-
-    /// [`FlightRing::record_decision`] with timeline stamps attached.
-    pub fn record_stamped(&mut self, decision: &DecisionEvent, stamps: TimelineStamps) {
-        self.record_with(|| FlightEvent::Decision(StampedDecision::new(decision.clone(), stamps)));
-    }
-
-    /// [`FlightRing::record`] with the event built in place: `make` runs
-    /// at the insertion point, so after inlining the payload is written
-    /// once — into the slot — instead of being staged on the caller's
-    /// stack and copied over. `make` is only invoked when the ring has
-    /// capacity; a zero-capacity ring counts the drop without building
-    /// the event.
-    pub fn record_with(&mut self, make: impl FnOnce() -> FlightEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.capacity() == 0 {
-            self.buf.reserve_exact(self.cap);
-        }
-        if self.len < self.cap {
-            self.buf.push(make());
-            self.len += 1;
-        } else {
-            self.buf[self.head] = make();
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Allocates and touches the full backing buffer now.
-    ///
-    /// By default the buffer is reserved lazily on the first push; a
-    /// writer on a latency-sensitive path can call this at setup time so
-    /// the first pass over the ring doesn't page-fault its way through
-    /// megabytes of freshly mapped memory.
-    pub fn preallocate(&mut self) {
-        if self.cap > 0 && self.buf.capacity() < self.cap {
-            self.buf.reserve_exact(self.cap);
-            // Touch every page of the reservation; the vec's len stays
-            // 0, so recorded events still fill slots in order.
-            let spare = self.buf.spare_capacity_mut();
-            for slot in spare.iter_mut() {
-                slot.write(FlightEvent::Submission {
-                    seq: 0,
-                    shard: 0,
-                    job: 0,
-                    release: 0.0,
-                    proc_time: 0.0,
-                    deadline: 0.0,
-                });
-            }
-        }
-    }
-
-    /// Records currently buffered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Records overwritten (or discarded by a zero-capacity ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Copies the buffered records out in insertion order, leaving the
-    /// ring untouched — the live-snapshot path.
-    pub fn snapshot_events(&self) -> Vec<FlightEvent> {
-        let mut events = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            let slot = (self.head + i) % self.cap.max(1);
-            events.push(self.buf[slot].clone());
-        }
-        events
-    }
 }
 
 const RECORD_WORDS: usize = RECORD_SIZE / 8;
@@ -932,6 +789,10 @@ impl FlightSnapshot {
 
     /// Reads a `.cfr` byte stream back, verifying magic, version and
     /// checksum.
+    ///
+    /// Every failure is an `Err`, never a panic or an allocation sized
+    /// by an untrusted field: block and record counts are checked
+    /// against the bytes left before anything is reserved for them.
     pub fn read_cfr<R: Read>(r: &mut R) -> Result<FlightSnapshot, String> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw).map_err(|e| e.to_string())?;
@@ -939,16 +800,11 @@ impl FlightSnapshot {
             return Err("not a .cfr flight recording (bad magic)".to_string());
         }
         let version = u32::from_le_bytes(raw[4..8].try_into().unwrap());
-        if !(CFR_MIN_VERSION..=CFR_VERSION).contains(&version) {
+        if version != CFR_VERSION {
             return Err(format!(
-                "unsupported .cfr version {version} (expected {CFR_MIN_VERSION}..={CFR_VERSION})"
+                "unsupported .cfr version {version} (this build reads version {CFR_VERSION})"
             ));
         }
-        let record_size = if version == 1 {
-            RECORD_SIZE_V1
-        } else {
-            RECORD_SIZE
-        };
         let body = &raw[8..raw.len() - 8];
         let stored = u64::from_le_bytes(raw[raw.len() - 8..].try_into().unwrap());
         let computed = fnv1a(body);
@@ -967,22 +823,24 @@ impl FlightSnapshot {
             .map_err(|_| "algorithm label is not UTF-8".to_string())?;
         let submitted = cur.u64()?;
         let accepted = cur.u64()?;
-        let mut rejected = RejectCounts::default();
-        for reason in RejectReason::ALL {
-            let n = cur.u64()?;
-            for _ in 0..n {
-                rejected.bump(reason);
-            }
-        }
-        let blocks = cur.u32()? as usize;
+        // Field order is `RejectReason::ALL` order, as written.
+        let rejected = RejectCounts {
+            threshold_exceeded: cur.u64()?,
+            no_feasible_machine: cur.u64()?,
+            policy_filtered: cur.u64()?,
+            unattributed: cur.u64()?,
+        };
+        let announced = cur.u32()?;
+        let blocks = cur.count(SHARD_BLOCK_HEADER, u64::from(announced))?;
         let mut shards = Vec::with_capacity(blocks);
         for _ in 0..blocks {
             let shard = cur.u32()?;
             let dropped = cur.u64()?;
-            let count = cur.u64()? as usize;
+            let announced = cur.u64()?;
+            let count = cur.count(RECORD_SIZE, announced)?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
-                events.push(decode_event(cur.bytes(record_size)?)?);
+                events.push(decode_event(cur.bytes(RECORD_SIZE)?)?);
             }
             shards.push(ShardFlight {
                 shard,
@@ -1033,7 +891,7 @@ impl<'a> Cursor<'a> {
             .pos
             .checked_add(n)
             .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| "truncated .cfr payload".to_string())?;
+            .ok_or_else(truncated)?;
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
@@ -1050,6 +908,21 @@ impl<'a> Cursor<'a> {
     fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
+
+    /// Validates an untrusted element count against the bytes left:
+    /// `count` items of at least `item_size` bytes each must fit, so a
+    /// forged count fails here instead of sizing an allocation.
+    fn count(&self, item_size: usize, count: u64) -> Result<usize, String> {
+        let left = (self.buf.len() - self.pos) / item_size;
+        usize::try_from(count)
+            .ok()
+            .filter(|&n| n <= left)
+            .ok_or_else(truncated)
+    }
+}
+
+fn truncated() -> String {
+    "truncated .cfr payload".to_string()
 }
 
 #[cfg(test)]
@@ -1135,65 +1008,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_record_decodes_with_absent_stamps() {
-        let stamped = FlightEvent::Decision(StampedDecision::new(
-            decision(4, true),
-            TimelineStamps([1, 2, 3, 4, 5, 6, 7]),
-        ));
-        let rec = encode_event(&stamped);
-        // A v1 reader-era record is exactly the first 96 bytes.
-        let back = decode_event(&rec[..RECORD_SIZE_V1]).unwrap();
-        match back {
-            FlightEvent::Decision(sd) => {
-                assert_eq!(sd.event, decision(4, true));
-                assert_eq!(sd.stamps, TimelineStamps::empty());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
     fn bad_records_are_rejected() {
         assert!(decode_event(&[0u8; 10]).is_err());
+        // A record of any other width (e.g. the old 96-byte layout
+        // without stamps) is refused, not guessed at.
+        assert!(decode_event(&encode_event(&sample_events()[0])[..96]).is_err());
         let mut rec = encode_event(&sample_events()[0]);
         rec[0] = 77; // unknown kind
         assert!(decode_event(&rec).is_err());
         let mut rec = encode_event(&FlightEvent::Decision(decision(0, false).into()));
         rec[2] = 9; // unknown reject reason
         assert!(decode_event(&rec).is_err());
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_window_and_counts_drops() {
-        let mut ring = FlightRing::new(3);
-        for seq in 0..5u64 {
-            ring.record(&FlightEvent::Commitment {
-                seq,
-                shard: 0,
-                job: seq as u32,
-                machine: 0,
-                start: 0.0,
-            });
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring
-            .snapshot_events()
-            .iter()
-            .map(FlightEvent::seq)
-            .collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        // Snapshot is non-destructive.
-        assert_eq!(ring.len(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut ring = FlightRing::new(0);
-        ring.record(&sample_events()[0]);
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
-        assert!(ring.snapshot_events().is_empty());
     }
 
     fn sample_snapshot() -> FlightSnapshot {
@@ -1238,54 +1063,70 @@ mod tests {
         assert_eq!(back.decisions().len(), 2);
     }
 
-    /// Serializes a snapshot the way the v1 writer did: version word 1,
-    /// 96-byte records.
-    fn write_cfr_v1(snap: &FlightSnapshot) -> Vec<u8> {
-        let mut body: Vec<u8> = Vec::new();
-        let h = &snap.header;
-        body.extend_from_slice(&h.m.to_le_bytes());
-        body.extend_from_slice(&h.shards.to_le_bytes());
-        body.extend_from_slice(&h.eps.to_le_bytes());
-        body.extend_from_slice(&h.seed.to_le_bytes());
-        let name = h.algorithm.as_bytes();
-        body.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        body.extend_from_slice(name);
-        body.extend_from_slice(&h.submitted.to_le_bytes());
-        body.extend_from_slice(&h.accepted.to_le_bytes());
-        for reason in RejectReason::ALL {
-            body.extend_from_slice(&h.rejected.get(reason).to_le_bytes());
-        }
-        body.extend_from_slice(&(snap.shards.len() as u32).to_le_bytes());
-        for shard in &snap.shards {
-            body.extend_from_slice(&shard.shard.to_le_bytes());
-            body.extend_from_slice(&shard.dropped.to_le_bytes());
-            body.extend_from_slice(&(shard.events.len() as u64).to_le_bytes());
-            for event in &shard.events {
-                body.extend_from_slice(&encode_event(event)[..RECORD_SIZE_V1]);
-            }
-        }
+    /// Wraps `body` in a `.cfr` container with version word `version`
+    /// and a valid checksum.
+    fn container(version: u32, body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(CFR_MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&body);
-        buf.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(body);
+        buf.extend_from_slice(&fnv1a(body).to_le_bytes());
         buf
     }
 
     #[test]
-    fn v1_cfr_file_still_reads() {
+    fn version_one_cfr_is_refused_with_a_typed_error() {
         let snap = sample_snapshot();
-        let buf = write_cfr_v1(&snap);
-        let back = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.header, snap.header);
-        assert_eq!(back.len(), snap.len());
-        // Every decision is there, just without timeline data.
-        let decisions = back.stamped_decisions();
-        assert_eq!(decisions.len(), 2);
-        for sd in decisions {
-            assert_eq!(sd.stamps, TimelineStamps::empty());
-        }
-        assert_eq!(back.decisions(), snap.decisions());
+        let mut buf = Vec::new();
+        snap.write_cfr(&mut buf).unwrap();
+        let v1 = container(1, &buf[8..buf.len() - 8]);
+        let err = FlightSnapshot::read_cfr(&mut v1.as_slice()).unwrap_err();
+        assert!(
+            err.contains("unsupported .cfr version 1"),
+            "unexpected error: {err}"
+        );
+    }
+
+    /// A header for `blocks` shard blocks, everything else empty.
+    fn forged_header(blocks: u32) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&4u32.to_le_bytes()); // m
+        body.extend_from_slice(&1u32.to_le_bytes()); // shards
+        body.extend_from_slice(&0.25f64.to_le_bytes()); // eps
+        body.extend_from_slice(&0u64.to_le_bytes()); // seed
+        body.extend_from_slice(&0u32.to_le_bytes()); // empty algorithm label
+        body.extend_from_slice(&[0u8; 6 * 8]); // submitted, accepted, 4 reasons
+        body.extend_from_slice(&blocks.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn forged_record_count_is_a_truncation_error_not_a_panic() {
+        // One shard block announcing 2^62 records behind a valid
+        // checksum: the count must be refused before it sizes a Vec.
+        let mut body = forged_header(1);
+        body.extend_from_slice(&0u32.to_le_bytes()); // shard
+        body.extend_from_slice(&0u64.to_le_bytes()); // dropped
+        body.extend_from_slice(&(1u64 << 62).to_le_bytes()); // record count
+        let forged = container(CFR_VERSION, &body);
+        let err = FlightSnapshot::read_cfr(&mut forged.as_slice()).unwrap_err();
+        assert_eq!(err, "truncated .cfr payload");
+    }
+
+    #[test]
+    fn forged_block_count_and_reject_counters_are_bounded() {
+        // u32::MAX shard blocks in an otherwise empty body, and reject
+        // counters of u64::MAX (read as values, never counted out).
+        let mut body = forged_header(u32::MAX);
+        body[28 + 16..28 + 48].fill(0xFF);
+        let forged = container(CFR_VERSION, &body);
+        let err = FlightSnapshot::read_cfr(&mut forged.as_slice()).unwrap_err();
+        assert_eq!(err, "truncated .cfr payload");
+        let mut body = forged_header(0);
+        body[28 + 16..28 + 48].fill(0xFF);
+        let snap = FlightSnapshot::read_cfr(&mut container(CFR_VERSION, &body).as_slice())
+            .expect("an empty recording with saturated counters decodes");
+        assert_eq!(snap.header.rejected.unattributed, u64::MAX);
     }
 
     #[test]

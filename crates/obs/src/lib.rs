@@ -7,8 +7,9 @@
 //! * **Decision traces** ([`trace`]): every submission becomes a
 //!   [`DecisionEvent`] carrying the job, the shard, the threshold it
 //!   was tested against, and — for rejections — a typed
-//!   [`RejectReason`]. Events sit in a bounded per-shard
-//!   [`DecisionRing`] and drain to JSONL.
+//!   [`RejectReason`]. The engine records each one once, into its
+//!   flight rings; JSONL traces are an export of a flight snapshot,
+//!   and [`summarize`] folds either back into counters.
 //! * **Histogram metrics** ([`hist`], [`metrics`]): log-bucketed
 //!   [`Histogram`]s with p50/p90/p99/p999 summaries replace min/max
 //!   aggregates; the [`MetricsRegistry`] holds atomic counters
@@ -19,9 +20,9 @@
 //! * **Flight recordings** ([`flight`]): bounded per-shard binary rings
 //!   capturing the complete causal record (submissions, decisions,
 //!   commitments) as fixed-size records, snapshottable to a checksummed
-//!   `.cfr` file for deterministic replay and invariant auditing. The
-//!   lock-free [`SharedFlightRing`] variant lets a single writer record
-//!   while any thread snapshots.
+//!   `.cfr` file for deterministic replay and invariant auditing. Each
+//!   lock-free [`SharedFlightRing`] has a single writer and can be
+//!   snapshotted from any thread.
 //! * **Rolling windows** ([`window`]): fixed-width bucket rings
 //!   (`WindowedCounter`, `WindowedHistogram`) with lazy rotation and
 //!   exact cross-shard merge, mirroring every registry metric at
@@ -31,8 +32,8 @@
 //!   engine's observatory thread, with a ratio-floor alert counter.
 //! * **Latency timelines** ([`timeline`]): stage-resolved stamps —
 //!   client send, frame decode, dispatch, enqueue, dequeue, decide,
-//!   delivery — on one shared monotonic [`ClockBase`], riding in the
-//!   v2 flight record, aggregated into per-stage waterfalls.
+//!   delivery — on one shared monotonic [`ClockBase`], riding in every
+//!   flight record, aggregated into per-stage waterfalls.
 //!
 //! The crate sits at the bottom of the workspace graph (no cslack
 //! dependencies), so algorithms, the engine, the CLI, and benches can
@@ -51,8 +52,8 @@ pub mod trace;
 pub mod window;
 
 pub use flight::{
-    decode_event, encode_event, FlightEvent, FlightHeader, FlightRing, FlightSnapshot, ShardFlight,
-    SharedFlightRing, StampedDecision, RECORD_SIZE, RECORD_SIZE_V1,
+    decode_event, encode_event, FlightEvent, FlightHeader, FlightSnapshot, ShardFlight,
+    SharedFlightRing, StampedDecision, RECORD_SIZE,
 };
 pub use hist::{AtomicHistogram, Histogram, HistogramSummary};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
@@ -62,8 +63,8 @@ pub use span::{
 };
 pub use timeline::{ClockBase, Stage, StageBreakdown, TimelineStamps, STAGES, STAGE_SPANS};
 pub use trace::{
-    read_jsonl, summarize, write_jsonl, DecisionEvent, DecisionRing, RejectCounts, RejectReason,
-    ShardTraceSummary, TraceSummary,
+    read_jsonl, summarize, write_jsonl, DecisionEvent, RejectCounts, RejectReason,
+    ShardTraceSummary, TraceSummary, MAX_TRACE_SHARD,
 };
 pub use window::{
     WindowPanel, WindowSlot, WindowSnapshot, WindowedCounter, WindowedHistogram, BUCKET_WIDTH_NS,

@@ -6,8 +6,8 @@
 //! [`ClockBase::now_ns`] is a single `Instant` read against a shared
 //! base, so stamps taken on *different threads* of the same process are
 //! directly comparable and per-stage deltas are meaningful. The stamps
-//! ride in a fixed-width [`TimelineStamps`] array that extends the
-//! flight record (format v2), so a `.cfr` recording carries the full
+//! ride in a fixed-width [`TimelineStamps`] array inside every flight
+//! record, so a `.cfr` recording carries the full
 //! per-job waterfall alongside the decision stream.
 //!
 //! The one exception to the shared clock is [`Stage::ClientSend`]: it is
@@ -109,7 +109,7 @@ impl ClockBase {
 }
 
 /// One nanosecond stamp per [`Stage`]; `0` means the hop never stamped
-/// (pre-v2 recordings, or a path that skips the hop).
+/// (a JSONL-sourced decision, or a path that skips the hop).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelineStamps(pub [u64; STAGES]);
 
@@ -131,7 +131,8 @@ impl TimelineStamps {
         self.0[stage as usize] = ns;
     }
 
-    /// Whether any stage carries a stamp (false for pre-v2 records).
+    /// Whether any stage carries a stamp (false for decisions read from
+    /// a JSONL trace, which carries no stamps).
     pub fn any(&self) -> bool {
         self.0.iter().any(|&s| s != 0)
     }
@@ -165,7 +166,7 @@ impl TimelineStamps {
     /// Whether the server-side stamps are non-decreasing in stage order.
     /// Absent (zero) stamps are skipped; [`Stage::ClientSend`] is
     /// excluded (client clock domain). This is the audit invariant the
-    /// flight auditor checks on every v2 decision record.
+    /// flight auditor checks on every decision record.
     pub fn server_monotone(&self) -> bool {
         let mut last = 0u64;
         for &stamp in &self.0[Stage::FrameDecode as usize..] {
@@ -203,7 +204,7 @@ pub struct StageBreakdown {
     pub spans: [Histogram; STAGE_SPANS.len()],
     /// Server-side end-to-end (first server stamp to last).
     pub end_to_end: Histogram,
-    /// Records whose stamps were all zero (pre-v2 data).
+    /// Records whose stamps were all zero (nothing stamped them).
     pub unstamped: u64,
     /// Records with at least one stamp.
     pub stamped: u64,

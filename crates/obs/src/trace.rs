@@ -1,5 +1,10 @@
 //! Structured decision traces: one [`DecisionEvent`] per submission,
-//! buffered in a bounded per-shard [`DecisionRing`] and drained as JSONL.
+//! exported as JSONL and aggregated back into counters by
+//! [`summarize`].
+//!
+//! The engine records decisions once, into its flight rings
+//! ([`crate::flight`]); a JSONL trace is an export of
+//! [`FlightSnapshot::decisions`](crate::flight::FlightSnapshot::decisions).
 //!
 //! The point of the trace is to make a rejection *explainable*: instead
 //! of an opaque boolean, every rejected job carries a typed
@@ -150,73 +155,14 @@ pub struct DecisionEvent {
     pub queue_wait_ns: u64,
 }
 
-/// A bounded single-writer ring buffer of [`DecisionEvent`]s.
-///
-/// Each engine shard owns one ring: the worker thread is the only
-/// writer, so pushes are plain stores — no locks anywhere on the hot
-/// path ("lock-free" the cheap way: no sharing). When full, the oldest
-/// event is overwritten and counted in [`DecisionRing::dropped`], so a
-/// long run keeps the most recent window instead of stalling.
-#[derive(Clone, Debug)]
-pub struct DecisionRing {
-    cap: usize,
-    buf: Vec<DecisionEvent>,
-    head: usize,
-    dropped: u64,
-}
-
-impl DecisionRing {
-    /// A ring holding at most `capacity` events (0 disables recording:
-    /// every push is counted as dropped).
-    pub fn new(capacity: usize) -> DecisionRing {
-        DecisionRing {
-            cap: capacity,
-            buf: Vec::with_capacity(capacity.min(4096)),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, overwriting the oldest when full.
-    pub fn push(&mut self, event: DecisionEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() < self.cap {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten (or discarded by a zero-capacity ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the ring into insertion-ordered events plus the dropped
-    /// count.
-    pub fn into_events(mut self) -> (Vec<DecisionEvent>, u64) {
-        self.buf.rotate_left(self.head);
-        (self.buf, self.dropped)
-    }
-}
-
-/// Writes events as JSONL (one compact JSON object per line).
-pub fn write_jsonl<W: Write>(events: &[DecisionEvent], w: &mut W) -> std::io::Result<()> {
+/// Writes events as JSONL (one compact JSON object per line). Takes
+/// any sequence of event references, so a flight snapshot's
+/// [`decisions`](crate::flight::FlightSnapshot::decisions) export
+/// without copying.
+pub fn write_jsonl<'a, W: Write>(
+    events: impl IntoIterator<Item = &'a DecisionEvent>,
+    w: &mut W,
+) -> std::io::Result<()> {
     for e in events {
         let line = serde_json::to_string(e)
             .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))?;
@@ -251,9 +197,10 @@ pub struct ShardTraceSummary {
     pub accepted: u64,
     /// Rejected jobs, split by reason.
     pub rejected: RejectCounts,
-    /// Events the shard's bounded ring dropped before the trace was
-    /// written, inferred from the sequence numbers: the ring keeps the
-    /// most recent window, so `max_seq + 1 - recorded` events are gone.
+    /// Events the shard's bounded recorder dropped before the trace was
+    /// written, inferred from the sequence numbers: the recorder keeps
+    /// the most recent window, so `max_seq + 1 - recorded` events are
+    /// gone.
     pub dropped: u64,
 }
 
@@ -268,7 +215,7 @@ pub struct TraceSummary {
     pub accepted: u64,
     /// Rejected jobs, split by reason.
     pub rejected: RejectCounts,
-    /// Events dropped by the bounded rings before the trace was
+    /// Events dropped by the bounded recorders before the trace was
     /// written (sum of the per-shard inferred counts). Nonzero means
     /// the trace is a most-recent window, not the full run.
     pub dropped: u64,
@@ -281,21 +228,40 @@ pub struct TraceSummary {
     pub per_shard: Vec<ShardTraceSummary>,
 }
 
+/// Highest shard index [`summarize`] accepts. The per-shard breakdown
+/// is dense, so the bound caps what one hostile `shard` field can make
+/// it allocate; every shard is a worker thread, so no engine comes
+/// near it.
+pub const MAX_TRACE_SHARD: usize = u16::MAX as usize;
+
 /// Aggregates a trace into counters and distributions.
-pub fn summarize(events: &[DecisionEvent]) -> TraceSummary {
-    let shards = events.iter().map(|e| e.shard + 1).max().unwrap_or(0);
-    let mut out = TraceSummary {
-        per_shard: (0..shards)
-            .map(|shard| ShardTraceSummary {
-                shard,
-                ..ShardTraceSummary::default()
-            })
-            .collect(),
-        ..TraceSummary::default()
-    };
+///
+/// Fails, instead of sizing the dense per-shard breakdown by it, on an
+/// event whose shard index exceeds [`MAX_TRACE_SHARD`].
+pub fn summarize(events: &[DecisionEvent]) -> Result<TraceSummary, String> {
+    let mut out = TraceSummary::default();
+    // Per shard: one past the highest seq seen, i.e. how many events
+    // were once recorded up to the newest one in the trace.
+    let mut pushed: Vec<u64> = Vec::new();
     let mut latency = Histogram::new();
     let mut queue_wait = Histogram::new();
     for e in events {
+        if e.shard > MAX_TRACE_SHARD {
+            return Err(format!(
+                "event seq {} (job {}) names shard {}; traces cover shards 0..={MAX_TRACE_SHARD}",
+                e.seq, e.job, e.shard
+            ));
+        }
+        if e.shard >= out.per_shard.len() {
+            let from = out.per_shard.len();
+            out.per_shard
+                .extend((from..=e.shard).map(|shard| ShardTraceSummary {
+                    shard,
+                    ..ShardTraceSummary::default()
+                }));
+            pushed.resize(e.shard + 1, 0);
+        }
+        pushed[e.shard] = pushed[e.shard].max(e.seq.saturating_add(1));
         out.decisions += 1;
         let slot = &mut out.per_shard[e.shard];
         slot.decisions += 1;
@@ -311,22 +277,16 @@ pub fn summarize(events: &[DecisionEvent]) -> TraceSummary {
         latency.record(e.latency_ns);
         queue_wait.record(e.queue_wait_ns);
     }
-    for slot in &mut out.per_shard {
-        // Seq numbers are dense per shard, so a trace recording the
-        // most recent window reveals its losses: everything up to the
-        // highest seq was once pushed.
-        let pushed = events
-            .iter()
-            .filter(|e| e.shard == slot.shard)
-            .map(|e| e.seq + 1)
-            .max()
-            .unwrap_or(0);
+    // Seq numbers are dense per shard, so a trace recording the most
+    // recent window reveals its losses: everything up to the highest
+    // seq was once pushed.
+    for (slot, pushed) in out.per_shard.iter_mut().zip(pushed) {
         slot.dropped = pushed.saturating_sub(slot.decisions);
-        out.dropped += slot.dropped;
+        out.dropped = out.dropped.saturating_add(slot.dropped);
     }
     out.latency = latency.summary();
     out.queue_wait = queue_wait.summary();
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -375,27 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent_window() {
-        let mut ring = DecisionRing::new(3);
-        for seq in 0..5 {
-            ring.push(event(seq, 0, true, None));
-        }
-        assert_eq!(ring.len(), 3);
-        let (events, dropped) = ring.into_events();
-        assert_eq!(dropped, 2);
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut ring = DecisionRing::new(0);
-        ring.push(event(0, 0, true, None));
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
     fn summary_counts_by_reason_and_shard() {
         let events = vec![
             event(0, 0, true, None),
@@ -404,7 +343,7 @@ mod tests {
             event(3, 1, false, Some(RejectReason::NoFeasibleMachine)),
             event(4, 2, false, None), // unattributed fallback
         ];
-        let s = summarize(&events);
+        let s = summarize(&events).unwrap();
         assert_eq!(s.decisions, 5);
         assert_eq!(s.accepted, 1);
         assert_eq!(s.rejected.threshold_exceeded, 2);
@@ -418,21 +357,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraparound_survives_jsonl_round_trip() {
-        let mut ring = DecisionRing::new(4);
-        for seq in 0..11 {
-            ring.push(event(seq, 0, seq % 2 == 0, None));
-        }
-        let (events, dropped) = ring.into_events();
-        assert_eq!(dropped, 7);
+    fn most_recent_window_survives_jsonl_round_trip() {
+        // What a bounded recorder of 4 keeps after 11 decisions.
+        let events: Vec<DecisionEvent> = (7..11)
+            .map(|seq| event(seq, 0, seq % 2 == 0, None))
+            .collect();
         let mut buf = Vec::new();
         write_jsonl(&events, &mut buf).unwrap();
         let back = read_jsonl(buf.as_slice()).unwrap();
         assert_eq!(back, events);
-        let seqs: Vec<u64> = back.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10]);
         // The summary recovers the loss from the seq gap alone.
-        let s = summarize(&back);
+        let s = summarize(&back).unwrap();
         assert_eq!(s.dropped, 7);
         assert_eq!(s.per_shard[0].dropped, 7);
     }
@@ -451,7 +386,7 @@ mod tests {
         for (e, reason) in back.iter().zip(RejectReason::ALL) {
             assert_eq!(e.reject_reason, Some(reason));
         }
-        let s = summarize(&back);
+        let s = summarize(&back).unwrap();
         for reason in RejectReason::ALL {
             assert_eq!(s.rejected.get(reason), 1, "{}", reason.as_str());
         }
@@ -460,9 +395,34 @@ mod tests {
     #[test]
     fn complete_trace_reports_zero_dropped() {
         let events = vec![event(0, 0, true, None), event(1, 0, false, None)];
-        let s = summarize(&events);
+        let s = summarize(&events).unwrap();
         assert_eq!(s.dropped, 0);
         assert_eq!(s.per_shard[0].dropped, 0);
+    }
+
+    #[test]
+    fn hostile_shard_and_seq_fields_are_bounded() {
+        // One JSONL line naming shard u64::MAX must not overflow
+        // `shard + 1` or index out of bounds.
+        let line = serde_json::to_string(&event(0, 0, true, None))
+            .unwrap()
+            .replace("\"shard\":0", "\"shard\":18446744073709551615");
+        let events = read_jsonl(line.as_bytes()).unwrap();
+        let err = summarize(&events).unwrap_err();
+        assert!(err.contains("shard 18446744073709551615"), "{err}");
+        // A shard of 4e9 would size a dense 4e9-entry breakdown.
+        let err = summarize(&[event(0, 4_000_000_000, true, None)]).unwrap_err();
+        assert!(err.contains("shard 4000000000"), "{err}");
+        // The largest accepted shard still summarizes, densely.
+        let s = summarize(&[event(0, MAX_TRACE_SHARD, true, None)]).unwrap();
+        assert_eq!(s.per_shard.len(), MAX_TRACE_SHARD + 1);
+        // A seq of u64::MAX saturates instead of overflowing.
+        let last = DecisionEvent {
+            seq: u64::MAX,
+            ..event(0, 0, true, None)
+        };
+        let s = summarize(&[last]).unwrap();
+        assert_eq!(s.dropped, u64::MAX - 1);
     }
 
     #[test]

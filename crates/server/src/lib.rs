@@ -198,7 +198,7 @@ struct Tenant {
 impl Tenant {
     fn start(spec: TenantSpec, clock: Arc<ClockBase>) -> Result<Arc<Tenant>, String> {
         let registry = Arc::new(MetricsRegistry::enabled());
-        let (decision_tx, decision_rx) = unbounded::<StampedDecision>();
+        let (decision_tx, decision_rx) = std::sync::mpsc::channel::<StampedDecision>();
         let obs = ObsConfig {
             registry: Some(Arc::clone(&registry)),
             flight: Some(FlightConfig::new(
@@ -765,10 +765,6 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
     let mut tenant: Option<Arc<Tenant>> = None;
     let mut outbox: Option<Sender<Frame>> = None;
     let mut writer_join: Option<JoinHandle<()>> = None;
-    // Echo the peer's protocol version on everything we send; latched
-    // from each successfully decoded frame (a v1 client keeps getting
-    // v1 answers).
-    let mut peer_version = proto::VERSION;
     // Answers before the outbox exists (pre-`Hello` errors) are
     // written straight to the stream; afterwards everything goes
     // through the outbox to keep a single writer.
@@ -792,11 +788,10 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
             }
             Err(_) => break,
         }
-        let frame = match proto::read_frame_v(&mut reader) {
-            Ok((version, frame)) => {
-                peer_version = version;
-                frame
-            }
+        // Any protocol version but ours is a typed, fatal `BadVersion`:
+        // answered with a `Protocol` reject, then the connection closes.
+        let frame = match proto::read_frame(&mut reader) {
+            Ok(frame) => frame,
             Err(ProtoError::Eof) => break,
             Err(e) => {
                 let reject = Frame::Reject {
@@ -809,7 +804,7 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                         let _ = tx.send(reject);
                     }
                     (None, Some(w)) => {
-                        let _ = proto::write_frame_v(w, &reject, peer_version);
+                        let _ = proto::write_frame(w, &reject);
                     }
                     _ => {}
                 }
@@ -851,10 +846,9 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
                 let Some(write_stream) = direct.take() else {
                     break;
                 };
-                let writer_version = peer_version;
                 writer_join = std::thread::Builder::new()
                     .name("cslack-conn-writer".into())
-                    .spawn(move || writer_loop(write_stream, rx, writer_version))
+                    .spawn(move || writer_loop(write_stream, rx))
                     .ok();
                 let spec = &found.spec;
                 let _ = tx.send(Frame::HelloAck {
@@ -931,16 +925,15 @@ fn handle_connection(stream: TcpStream, inner: Arc<ServerInner>, stop: Arc<Atomi
 }
 
 /// Writer half of one connection: drains the outbox, batches writes,
-/// flushes when the queue momentarily empties. Frames go out in the
-/// protocol version the client's `Hello` arrived with.
-fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, version: u8) {
+/// flushes when the queue momentarily empties.
+fn writer_loop(stream: TcpStream, rx: Receiver<Frame>) {
     let mut w = BufWriter::new(stream);
     'outer: while let Ok(frame) = rx.recv() {
-        if proto::write_frame_v(&mut w, &frame, version).is_err() {
+        if proto::write_frame(&mut w, &frame).is_err() {
             break;
         }
         while let Ok(more) = rx.try_recv() {
-            if proto::write_frame_v(&mut w, &more, version).is_err() {
+            if proto::write_frame(&mut w, &more).is_err() {
                 break 'outer;
             }
         }

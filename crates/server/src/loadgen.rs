@@ -93,7 +93,7 @@ impl LatencyUs {
 }
 
 /// Where each decided job's end-to-end time went, split using the
-/// server stage stamps echoed on v2 `Decision` frames. Client and
+/// server stage stamps echoed on `Decision` frames. Client and
 /// server clocks are never compared directly: the server span is
 /// measured on the server's clock, subtracted from the client-measured
 /// end-to-end to estimate the network share.
@@ -175,7 +175,7 @@ pub struct LoadgenReport {
     /// Aggregate decision latency percentiles.
     pub latency_us: LatencyUs,
     /// Aggregate split of where the end-to-end time went (network vs
-    /// server vs queue vs decide), from the v2 stage stamps.
+    /// server vs queue vs decide), from the stage stamps.
     pub latency_breakdown: LatencyBreakdown,
     /// Per-tenant breakdown.
     pub per_tenant: Vec<TenantReport>,

@@ -164,7 +164,7 @@ fn wire_decision_stream_matches_in_process_engine() {
     }
 
     // Reference: the same engine geometry driven in-process.
-    let (tx, rx) = crossbeam::channel::unbounded::<StampedDecision>();
+    let (tx, rx) = std::sync::mpsc::channel::<StampedDecision>();
     let obs = ObsConfig {
         decisions: Some(tx),
         ..ObsConfig::default()
@@ -605,6 +605,40 @@ fn unknown_tenant_and_protocol_garbage_are_typed() {
     match cslack_server::proto::read_frame(&mut raw) {
         Ok(Frame::Reject { code, .. }) => assert_eq!(code, RejectCode::Protocol),
         other => panic!("expected typed Protocol reject, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn v1_hello_is_refused_and_the_connection_closes() {
+    let server = start_server(vec![TenantSpec::new("alpha", 2, 0.5)], false);
+    // A well-formed v1 `Hello`: the current encoding with the version
+    // byte set to 1 and the checksum (which covers it) repaired.
+    let mut hello = cslack_server::proto::encode_frame(&Frame::Hello {
+        tenant: "alpha".into(),
+    });
+    hello[2] = 1;
+    let len = hello.len();
+    let sum = cslack_server::proto::fnv1a32(&hello[..len - 4]);
+    hello[len - 4..].copy_from_slice(&sum.to_le_bytes());
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&hello).expect("write v1 hello");
+    match cslack_server::proto::read_frame(&mut raw) {
+        Ok(Frame::Reject { job, code, detail }) => {
+            assert_eq!((job, code), (None, RejectCode::Protocol));
+            assert!(detail.contains("version 1"), "{detail}");
+        }
+        other => panic!("expected typed Protocol reject, got {other:?}"),
+    }
+    // Nothing follows the refusal: the server closed the connection.
+    // It never read the refused frame's payload, so its close may be
+    // abortive (a reset); either way it is a close, not a timeout.
+    let mut rest = Vec::new();
+    match raw.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "bytes after the refusal: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
     server.shutdown();
 }

@@ -329,7 +329,7 @@ fn unknown_frame_type_is_recoverable() {
 
 #[test]
 fn hostile_submit_count_is_rejected_before_allocation() {
-    // A SubmitBatch claiming u32::MAX jobs right after its v2 client
+    // A SubmitBatch claiming u32::MAX jobs right after its client
     // stamp: the count sanity check must fire before
     // `Vec::with_capacity`.
     let mut payload = Vec::new();

@@ -511,8 +511,8 @@ pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
                     }
                     audit_decision(d, block.shard, lo, eps, f_last, &mut report);
                     // Stage stamps, when present, must respect pipeline
-                    // order on the server's clock. v1 recordings carry
-                    // no stamps and pass vacuously.
+                    // order on the server's clock; absent (zero) stamps
+                    // pass vacuously.
                     if !d.stamps.server_monotone() {
                         report.violations.push(AuditViolation {
                             check: "stamps",

@@ -1,9 +1,10 @@
 //! Observability demo: run the sharded engine with the full
-//! observability stack live — a shared metrics registry, a decision
-//! trace with typed reject reasons, span profiling timers, and the
-//! flight recorder — then show the export surfaces (JSONL trace,
-//! metrics snapshot, Prometheus text exposition) and close the loop by
-//! replaying and auditing the flight recording.
+//! observability stack live — a shared metrics registry, span profiling
+//! timers, and the flight recorder, whose per-decision records carry
+//! typed reject reasons — then show the export surfaces (JSONL decision
+//! trace exported from the recording, metrics snapshot, Prometheus text
+//! exposition) and close the loop by replaying and auditing the flight
+//! recording.
 //!
 //! ```text
 //! cargo run --example observability
@@ -27,9 +28,9 @@ fn main() {
     let registry = Arc::new(MetricsRegistry::enabled());
     let wiring = ObsConfig {
         registry: Some(Arc::clone(&registry)),
-        trace_capacity: n, // hold the entire run
         // One compact flight record per decision; the capacity covers
-        // the whole run so the recording is complete and replayable.
+        // the whole run so the recording is complete, replayable, and
+        // exports a complete decision trace.
         flight: Some(FlightConfig::new(n, "threshold", eps, 11)),
         serve_metrics: None,
         ..ObsConfig::default()
@@ -46,13 +47,22 @@ fn main() {
         engine.submit(*job).expect("submit");
     }
     let report = engine.finish().expect("drain");
+    let flight = report.flight.as_ref().expect("flight recording");
 
-    // 1. The decision trace: every submission, with a typed reason on
-    //    every rejection. `summarize` reproduces the engine counters.
-    let summary = obs::summarize(&report.trace);
+    // 1. The decision trace, exported from the flight recording: every
+    //    submission, with a typed reason on every rejection.
+    //    `summarize` reproduces the engine counters.
+    let trace = flight.decisions();
+    let mut jsonl = Vec::new();
+    obs::write_jsonl(trace.iter().copied(), &mut jsonl).expect("export the trace");
+    let summary = obs::summarize(&obs::read_jsonl(jsonl.as_slice()).expect("read it back"))
+        .expect("summarize the trace");
     println!(
-        "trace: {} decisions ({} accepted), {} dropped by the ring",
-        summary.decisions, summary.accepted, report.trace_dropped
+        "trace: {} decisions ({} accepted), {} dropped by the recorder, {} JSONL bytes",
+        summary.decisions,
+        summary.accepted,
+        summary.dropped,
+        jsonl.len()
     );
     for reason in RejectReason::ALL {
         let count = summary.rejected.get(reason);
@@ -62,9 +72,9 @@ fn main() {
     }
     assert_eq!(summary.accepted, report.metrics.accepted);
     assert_eq!(summary.rejected.total(), report.metrics.rejected);
-    if let Some(event) = report.trace.iter().find(|e| !e.accepted) {
+    if let Some(event) = trace.iter().find(|e| !e.accepted) {
         let mut buf = Vec::new();
-        obs::write_jsonl(std::slice::from_ref(event), &mut buf).expect("serialize event");
+        obs::write_jsonl([*event], &mut buf).expect("serialize event");
         print!(
             "  sample rejection (JSONL): {}",
             String::from_utf8_lossy(&buf)
@@ -111,7 +121,6 @@ fn main() {
     //    re-runs the recorded algorithm on the recorded submissions and
     //    compares decision streams bit for bit; the auditor rechecks
     //    every schedule invariant from the trace alone.
-    let flight = report.flight.as_ref().expect("flight recording");
     let replay = cslack::sim::audit::replay_snapshot(flight, |_shard, group| {
         Box::new(Threshold::new(group, eps)) as Box<dyn OnlineScheduler>
     })
