@@ -33,7 +33,7 @@ USAGE:
   cslack simulate  --algo <name> (--trace <file> | --m <int> --eps <float> --n <int> [--seed <int>]) [--json]
   cslack serve-bench --algo <name> --shards <int> --m <int> --eps <float> --n <int>
                    [--seed <int>] [--queue-cap <int>] [--batch <int>] [--json]
-                   [--ring-cap <jobs>] [--pin-workers] [--pin-offset <int>]
+                   [--pin-workers] [--pin-offset <int>]
                    [--trace-out <jsonl>]
                    [--metrics-out <json>] [--prom-out <txt>] [--spans]
                    [--flight-out <cfr>] [--flight-cap <int>] [--flight-audit]
@@ -42,7 +42,7 @@ USAGE:
   cslack serve     --tenants name:m:eps[:algo[:shards[:seed]]][,name2:...]
                    [--listen <addr>] [--telemetry <addr>] [--inflight <int>]
                    [--queue-cap <int>] [--batch <int>]
-                   [--ring-cap <jobs>] [--pin-workers] [--pin-offset <int>]
+                   [--pin-workers] [--pin-offset <int>]
                    [--inject <tenant>=<kind>@<n>] [--recover] [--exit-when-drained]
                    [--max-secs <float>]
   cslack loadgen   --tenants <name>[,<name2>...] [--connect <addr>]
@@ -227,18 +227,14 @@ struct ServeBenchReport {
     degraded: Vec<ShardFailure>,
 }
 
-/// Parses the shared ingestion-plane flags: `--ring-cap <jobs>` (ring
-/// slot-pool size, power-of-two rounded; defaults to the queue
-/// capacity), `--pin-workers` and `--pin-offset <int>` (best-effort
-/// shard-worker CPU affinity).
+/// Parses the shared ingestion-plane flags: `--pin-workers` and
+/// `--pin-offset <int>` (best-effort shard-worker CPU affinity). The
+/// ring's size is `--queue-cap`.
 fn parse_ingest(opts: &Opts) -> Result<IngestConfig, String> {
-    let mut ingest = IngestConfig::default();
-    if opts.get("ring-cap").is_some() {
-        ingest.ring_capacity = Some(opts.require_as("ring-cap")?);
-    }
-    ingest.pin_workers = opts.flag("pin-workers");
-    ingest.pin_offset = opts.get_or("pin-offset", 0)?;
-    Ok(ingest)
+    Ok(IngestConfig {
+        pin_workers: opts.flag("pin-workers"),
+        pin_offset: opts.get_or("pin-offset", 0)?,
+    })
 }
 
 /// `cslack serve-bench` — stream a generated workload through the
@@ -313,8 +309,7 @@ pub fn serve_bench(opts: &Opts) -> Result<(), String> {
     // its own when none is passed.)
     let registry = (metrics_out.is_some() || prom_out.is_some() || serve_metrics.is_some())
         .then(|| Arc::new(MetricsRegistry::enabled()));
-    // The ring stores one compact record per decision (submissions and
-    // commitments are synthesized from it at snapshot time) and shard
+    // The ring stores one compact record per decision and shard
     // routing splits jobs evenly, so ceil(n / shards) per shard covers
     // any run completely. A failing shard appends one extra submission
     // record (the job that tripped it) on top of its per-decision

@@ -41,14 +41,11 @@ impl EngineConfig {
 /// `EngineConfig { .. }` literals keep compiling; the plain
 /// [`Engine::start`](crate::Engine::start) /
 /// [`Engine::start_observed`](crate::Engine::start_observed)
-/// constructors use the default (ring capacity = `queue_capacity`, no
-/// pinning). DESIGN.md §10 describes the ring's layout and publish
-/// protocol.
+/// constructors use the default (no pinning). The ingestion ring's
+/// size is [`EngineConfig::queue_capacity`]. DESIGN.md §10 describes
+/// the ring's layout and publish protocol.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IngestConfig {
-    /// Ring capacity in jobs (rounded up to a power of two); `None`
-    /// uses [`EngineConfig::queue_capacity`].
-    pub ring_capacity: Option<usize>,
     /// Pin each shard worker to a CPU (`(pin_offset + shard) mod
     /// available_parallelism`). Best-effort: on platforms without a
     /// raw `sched_setaffinity` path, or when the kernel refuses, the
@@ -156,9 +153,10 @@ impl Default for TelemetryEndpoints {
 /// Flight-recorder wiring for
 /// [`Engine::start_observed`](crate::Engine::start_observed).
 ///
-/// The recorder captures the complete causal record of the run —
-/// submissions (arrival order + shard routing), full decisions, and
-/// irrevocable commitments — in bounded per-shard binary rings
+/// The recorder captures the complete causal record of the run — one
+/// record per decision, carrying the job's arrival order and shard
+/// routing and, for an accept, its irrevocable placement — in bounded
+/// per-shard binary rings
 /// ([`SharedFlightRing`](cslack_obs::flight::SharedFlightRing)). Each
 /// shard's worker is its ring's single writer: a decision is encoded
 /// straight into its slot with relaxed atomic word stores and one
@@ -172,8 +170,8 @@ impl Default for TelemetryEndpoints {
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
     /// Per-shard ring capacity in records; `0` disables recording.
-    /// Each decision costs exactly one record — the submission and
-    /// commitment events in a snapshot are synthesized from it.
+    /// Each decision costs exactly one record, and a snapshot holds
+    /// exactly the records the ring holds.
     pub capacity: usize,
     /// Algorithm label written into the `.cfr` header, in the CLI
     /// vocabulary (`threshold`, `greedy`, ...) — replay rebuilds the

@@ -90,8 +90,8 @@ pub struct Engine {
     /// The scheduler factory, retained so [`Engine::restart_shard`] can
     /// rebuild a dead shard's scheduler for replay.
     pub(crate) builder: SchedulerBuilder,
-    /// The ingestion-plane wiring, retained so recovery can construct
-    /// a replacement ring matching the original.
+    /// The ingestion-plane wiring, retained so recovery can pin a
+    /// replacement worker as the original was.
     pub(crate) ingest: IngestConfig,
     /// The shared recovery ledger: restart count and the four-way job
     /// conservation counters, written by [`Engine::restart_shard`] and
@@ -133,8 +133,7 @@ impl Engine {
     /// Starts the service with explicit observability wiring: a shared
     /// [`MetricsRegistry`] to stream into, a flight recorder, a live
     /// decision subscription (see [`ObsConfig`]), on the default
-    /// ingestion plane ([`IngestConfig::default`]: ring capacity =
-    /// `queue_capacity`, no pinning).
+    /// ingestion plane ([`IngestConfig::default`]: no pinning).
     ///
     /// `builder` runs sequentially on the calling thread, one shard at
     /// a time: threshold-style schedulers that solve for their ratio
@@ -153,8 +152,7 @@ impl Engine {
     }
 
     /// [`Engine::start_observed`] with explicit ingestion-plane wiring:
-    /// ring capacity and best-effort worker CPU pinning. See
-    /// [`IngestConfig`].
+    /// best-effort worker CPU pinning. See [`IngestConfig`].
     pub fn start_with_ingest<F>(
         m: usize,
         config: EngineConfig,
@@ -269,9 +267,7 @@ impl Engine {
         let mut shards = Vec::with_capacity(config.shards);
         for (index, group) in groups.into_iter().enumerate() {
             let scheduler = builder(index, group.len());
-            let ring = Arc::new(IngestRing::new(
-                ingest.ring_capacity.unwrap_or(config.queue_capacity),
-            ));
+            let ring = Arc::new(IngestRing::new(config.queue_capacity));
             let ctx = ShardCtx {
                 shard: index,
                 group: group.clone(),

@@ -3,8 +3,7 @@
 
 use crate::config::FlightConfig;
 use cslack_obs::flight::{
-    expand_decision_stream, FlightEvent, FlightHeader, FlightSnapshot, ShardFlight,
-    SharedFlightRing,
+    FlightEvent, FlightHeader, FlightSnapshot, ShardFlight, SharedFlightRing,
 };
 use cslack_obs::RejectCounts;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,7 +44,8 @@ impl FlightState {
         }
     }
 
-    /// Assembles a [`FlightSnapshot`] from the current ring contents.
+    /// Assembles a [`FlightSnapshot`] from the current ring contents,
+    /// record for record.
     ///
     /// `counters` carries the engine's own totals when they are known
     /// (the finish path); live and error snapshots pass `None` and the
@@ -54,11 +54,11 @@ impl FlightState {
     pub(crate) fn snapshot(&self, counters: Option<(u64, u64, RejectCounts)>) -> FlightSnapshot {
         let mut shards = Vec::with_capacity(self.rings.len());
         for (index, ring) in self.rings.iter().enumerate() {
-            let (compact, dropped) = ring.snapshot_events();
+            let (events, dropped) = ring.snapshot_events();
             shards.push(ShardFlight {
                 shard: index as u32,
                 dropped,
-                events: expand_decision_stream(compact),
+                events,
             });
         }
         let (submitted, accepted, rejected) = counters.unwrap_or_else(|| {

@@ -8,7 +8,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!             try_submit / submit / submit_batch (backpressure-typed)
+//!             try_submit / submit / submit_batch_into (backpressure-typed)
 //!  producers ──────────────┬─────────────────┬──────────────────┐
 //!                          v                 v                  v
 //!                   [ingest ring 0]   [ingest ring 1]  …  [ingest ring S-1]

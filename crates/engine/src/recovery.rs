@@ -204,11 +204,7 @@ impl Engine {
         // reach the new ring yet). The ring is sized to hold the whole
         // re-offer batch so the pre-spawn push can never block.
         let undecided = std::mem::take(&mut outcome.undecided);
-        let capacity = self
-            .ingest
-            .ring_capacity
-            .unwrap_or(self.config.queue_capacity)
-            .max(undecided.len());
+        let capacity = self.config.queue_capacity.max(undecided.len());
         let ring = Arc::new(IngestRing::new(capacity));
         let mut lost = 0u64;
         if !undecided.is_empty() {

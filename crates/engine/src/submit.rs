@@ -158,76 +158,32 @@ impl Engine {
     /// therefore the decision streams — are identical to submitting
     /// the same slice job-by-job through [`Engine::submit`].
     ///
-    /// Returns one `Result` per input job, in input order. A full
-    /// shard queue is waited out like [`Engine::submit`] (counted as
-    /// one backpressure stall per shard-group, not per job); a failed
-    /// or closed shard fails its jobs with [`SubmitError::ShardFailed`]
-    /// / [`SubmitError::Closed`] while the other shards' groups still
-    /// enqueue. Ring capacity bounds queued *jobs*: a group larger than
-    /// the free space publishes in chunks as the worker drains.
-    ///
-    /// Callers on a hot path should prefer
-    /// [`Engine::submit_batch_into`], which performs no per-call
-    /// allocation.
-    pub fn submit_batch(&self, jobs: &[Job]) -> Vec<Result<(), SubmitError>> {
-        self.submit_batch_stamped(jobs, TimelineStamps::empty())
-    }
-
-    /// [`Engine::submit_batch`] with caller-provided timeline stamps —
-    /// the wire-ingestion path. `stamps` carries the hops that happened
-    /// *before* the engine saw the batch (client send from the frame,
-    /// frame decode, dispatcher route); the engine stamps `Enqueue`
-    /// itself (one clock read for the whole batch) and fills a missing
-    /// frame-decode/dispatch stamp with it, so every server-side stage
-    /// is always present downstream. A zero client-send stamp is left
-    /// absent — it belongs to the client's clock domain and cannot be
-    /// synthesized here.
-    pub fn submit_batch_stamped(
-        &self,
-        jobs: &[Job],
-        stamps: TimelineStamps,
-    ) -> Vec<Result<(), SubmitError>> {
-        BATCH_SCRATCH.with(|scratch| {
-            let (outcomes, taken) = &mut *scratch.borrow_mut();
-            self.submit_batch_core(jobs, stamps, outcomes);
-            taken.clear();
-            taken.resize(self.shards.len(), 0);
-            jobs.iter()
-                .map(|job| {
-                    let shard = shard_of(job.id, self.shards.len());
-                    let idx = taken[shard];
-                    taken[shard] += 1;
-                    let group = &outcomes[shard];
-                    if idx < group.pushed {
-                        Ok(())
-                    } else {
-                        Err(match group.err {
-                            Some(GroupErr::Failed) => SubmitError::ShardFailed(*job),
-                            _ => SubmitError::Closed(*job),
-                        })
-                    }
-                })
-                .collect()
-        })
-    }
-
-    /// Allocation-free batched submission: like [`Engine::submit_batch`]
-    /// but instead of materializing a `Vec<Result>` per call — which
-    /// clones every rejected job into a fresh allocation even on the
-    /// all-accepted steady state — it returns how many jobs were
-    /// enqueued and appends one [`SubmitError`] per *failed* job (in
-    /// input order, each carrying its job) to the caller-owned
-    /// `failures` buffer, which is cleared first and reused across
-    /// calls. When every job lands, the call touches no allocator at
-    /// all: routing scratch is thread-local and `failures` keeps its
-    /// capacity.
+    /// Returns how many jobs were enqueued and appends one
+    /// [`SubmitError`] per *failed* job (in input order, each carrying
+    /// its job) to the caller-owned `failures` buffer, which is cleared
+    /// first and reused across calls. A full shard queue is waited out
+    /// like [`Engine::submit`] (counted as one backpressure stall per
+    /// shard-group, not per job); a failed or closed shard fails its
+    /// jobs with [`SubmitError::ShardFailed`] / [`SubmitError::Closed`]
+    /// while the other shards' groups still enqueue. Ring capacity
+    /// bounds queued *jobs*: a group larger than the free space
+    /// publishes in chunks as the worker drains. When every job lands,
+    /// the call touches no allocator at all: routing scratch is
+    /// thread-local and `failures` keeps its capacity.
     pub fn submit_batch_into(&self, jobs: &[Job], failures: &mut Vec<SubmitError>) -> usize {
         self.submit_batch_stamped_into(jobs, TimelineStamps::empty(), failures)
     }
 
     /// [`Engine::submit_batch_into`] with caller-provided timeline
-    /// stamps — see [`Engine::submit_batch_stamped`] for the stamp
-    /// semantics. Returns the number of jobs enqueued.
+    /// stamps — the wire-ingestion path. `stamps` carries the hops that
+    /// happened *before* the engine saw the batch (client send from the
+    /// frame, frame decode, dispatcher route); the engine stamps
+    /// `Enqueue` itself (one clock read for the whole batch) and fills
+    /// a missing frame-decode/dispatch stamp with it, so every
+    /// server-side stage is always present downstream. A zero
+    /// client-send stamp is left absent — it belongs to the client's
+    /// clock domain and cannot be synthesized here. Returns the number
+    /// of jobs enqueued.
     pub fn submit_batch_stamped_into(
         &self,
         jobs: &[Job],
@@ -263,7 +219,7 @@ impl Engine {
         })
     }
 
-    /// The shared core of the batch APIs: stamp, route into the
+    /// The core of [`Engine::submit_batch_stamped_into`]: stamp, route into the
     /// thread-local per-shard scratch, and publish one group per shard,
     /// recording each group's outcome into `outcomes` (indexed by
     /// shard).

@@ -508,11 +508,12 @@ fn flight_ring_bounds_memory_and_counts_drops() {
     }
     let report = engine.finish().unwrap();
     let snap = report.flight.unwrap();
-    // The ring kept the last 8 decision records; each expands to
-    // submission + decision + commitment in the snapshot.
-    assert_eq!(snap.len(), 24, "ring caps the recording");
-    // 32 accepted jobs produce 32 decision records; the ring kept 8.
+    // 32 accepted jobs produce 32 decision records; the ring kept the
+    // last 8, and the snapshot holds exactly those records.
+    assert_eq!(snap.len(), 8, "ring caps the recording");
+    assert_eq!(snap.decisions().len(), 8);
     assert_eq!(snap.total_dropped(), 24);
+    assert_eq!(snap.len() as u64 + snap.total_dropped(), 32);
     // The header still carries the engine's true totals.
     assert_eq!(snap.header.submitted, 32);
     assert_eq!(snap.header.accepted, 32);
@@ -598,10 +599,10 @@ fn submit_batch_matches_job_by_job_submission() {
         if batched {
             // Chunk size is coprime with the shard count, so
             // batches straddle shards in every alignment.
+            let mut failures = Vec::new();
             for chunk in jobs.chunks(17) {
-                for result in engine.submit_batch(chunk) {
-                    result.unwrap();
-                }
+                assert_eq!(engine.submit_batch_into(chunk, &mut failures), chunk.len());
+                assert!(failures.is_empty(), "{failures:?}");
             }
         } else {
             for job in &jobs {
@@ -647,9 +648,9 @@ fn decision_channel_streams_every_decision_and_closes_on_finish() {
     };
     let engine = Engine::start_observed(4, EngineConfig::new(2), obs, greedy_builder).unwrap();
     let jobs = flight_workload(100);
-    for result in engine.submit_batch(&jobs) {
-        result.unwrap();
-    }
+    let mut failures = Vec::new();
+    assert_eq!(engine.submit_batch_into(&jobs, &mut failures), jobs.len());
+    assert!(failures.is_empty(), "{failures:?}");
     let report = engine.finish().unwrap();
     // `finish` dropped the engine's sender clone and the `tx` we
     // moved into ObsConfig, so the iterator terminates — that close

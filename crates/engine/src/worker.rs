@@ -241,10 +241,10 @@ pub(crate) fn shard_worker(
                     // recording takes no lock at all: each decision
                     // encodes straight into its slot with relaxed word
                     // stores and one release publish. Live snapshot
-                    // readers never wait on the decision loop. Only the
-                    // compact decision record is stored; submission and
-                    // commitment events are synthesized from it at
-                    // snapshot time.
+                    // readers never wait on the decision loop. One
+                    // record per decision: the job is committed the
+                    // instant it is accepted, so the decision record
+                    // is also its submission and its commitment.
                     let flight_ring = ctx.flight.as_deref().map(|state| &state.rings[ctx.shard]);
                     while decided < batch.len() {
                         let (job, mut stamps) = batch[decided];

@@ -5,7 +5,7 @@
 //!   blocking `submit` returns only after its job is visible).
 //! * **Backpressure** — a full ring is a deterministic, typed
 //!   [`SubmitError::Full`]: with the worker wedged, exactly
-//!   `ring_capacity` jobs fit and the next `try_submit` bounces with
+//!   `queue_capacity` jobs fit and the next `try_submit` bounces with
 //!   the job handed back.
 //! * **Equivalence** — for a fixed instance and shard count, per-job
 //!   and batched submission produce bit-identical decision streams
@@ -152,11 +152,7 @@ fn ring_full_backpressure_is_deterministic() {
     let release = Arc::new(Mutex::new(release_rx));
     let mut config = EngineConfig::new(1);
     config.queue_capacity = CAP;
-    let ingest = IngestConfig {
-        ring_capacity: Some(CAP),
-        ..IngestConfig::default()
-    };
-    let engine = Engine::start_with_ingest(1, config, ingest, ObsConfig::default(), {
+    let engine = Engine::start_observed(1, config, ObsConfig::default(), {
         let started = started_tx.clone();
         let release = Arc::clone(&release);
         move |_, _| {
@@ -264,14 +260,11 @@ fn ring_shard_panic_drains_ring_and_writes_crash_snapshot() {
     let mut flight = FlightConfig::new(1 << 12, "greedy", EPS, 0);
     flight.snapshot_on_error = Some(path.clone());
     let spec: FaultSpec = "panic@5".parse().unwrap();
-    let ingest = IngestConfig {
-        ring_capacity: Some(64),
-        ..IngestConfig::default()
-    };
-    let engine = Engine::start_with_ingest(
+    let mut config = EngineConfig::new(2);
+    config.queue_capacity = 64;
+    let engine = Engine::start_observed(
         4,
-        EngineConfig::new(2),
-        ingest,
+        config,
         ObsConfig {
             flight: Some(flight),
             ..ObsConfig::default()

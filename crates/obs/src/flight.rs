@@ -1,14 +1,18 @@
 //! The **flight recorder**: a bounded binary ring capturing the complete
 //! causal record of an engine run, snapshottable to a `.cfr` file.
 //!
-//! Three event kinds cover the paper's immediate-commitment life cycle:
+//! The paper's model commits a job on admission: the accept and the
+//! `(machine, start)` binding happen at the same instant, so one record
+//! per decision is the whole life cycle. Two event kinds exist:
 //!
-//! * [`FlightEvent::Submission`] — a job entered a shard's decision loop
-//!   (arrival order *and* shard routing are thereby recorded);
 //! * [`FlightEvent::Decision`] — the full [`DecisionEvent`] the shard
-//!   produced, including candidates, threshold and min-load;
-//! * [`FlightEvent::Commitment`] — the irrevocable `(machine, start)`
-//!   binding for an accepted job, in global machine ids.
+//!   produced: the job's parameters and shard routing, its per-shard
+//!   arrival index, candidates, threshold, min-load and, for an accept,
+//!   the irrevocable placement in global machine ids;
+//! * [`FlightEvent::Submission`] — a job that entered a shard's decision
+//!   loop but whose decision never completed. Only a contained fault
+//!   writes one (for the failing job), so a recording holds at most one
+//!   per fault; after a shard restart it can sit mid-stream.
 //!
 //! Together they are enough to *replay* the run (rebuild the per-shard
 //! submission streams, re-run the scheduler, compare decision streams
@@ -19,10 +23,8 @@
 //! Each shard records into its own [`SharedFlightRing`]: one
 //! fixed-size [`RECORD_SIZE`]-byte little-endian record per decision,
 //! written with relaxed word stores into a buffer touched at setup, so
-//! the hot path never allocates or page-faults. The submission and
-//! commitment events a snapshot carries are pure projections of the
-//! decision record, so they are synthesized at snapshot time by
-//! [`expand_decision_stream`] rather than paid for on the hot path.
+//! the hot path never allocates or page-faults. A snapshot and a `.cfr`
+//! file hold exactly the records the ring holds.
 //! When the ring is full the oldest record is overwritten and counted in
 //! [`SharedFlightRing::dropped`] — a long run keeps the most recent
 //! window instead of stalling the shard.
@@ -55,9 +57,10 @@ pub const RECORD_SIZE: usize = STAMPS_OFFSET + STAGES * 8;
 /// Magic bytes opening a `.cfr` file.
 pub const CFR_MAGIC: &[u8; 4] = b"CFR1";
 
-/// The `.cfr` container version this build writes and reads
-/// (stage-stamped records). Any other version is refused.
-pub const CFR_VERSION: u32 = 2;
+/// The `.cfr` container version this build writes and reads: one
+/// stage-stamped record per decision, plus at most one arrival record
+/// per contained fault. Any other version is refused.
+pub const CFR_VERSION: u32 = 3;
 
 /// Bytes of a shard block's header in a `.cfr` body: shard index
 /// (u32), dropped count (u64), record count (u64).
@@ -65,7 +68,6 @@ const SHARD_BLOCK_HEADER: usize = 4 + 8 + 8;
 
 const KIND_SUBMISSION: u8 = 0;
 const KIND_DECISION: u8 = 1;
-const KIND_COMMITMENT: u8 = 2;
 
 const FLAG_ACCEPTED: u8 = 1 << 0;
 const FLAG_THRESHOLD: u8 = 1 << 1;
@@ -126,7 +128,8 @@ impl DerefMut for StampedDecision {
 /// One entry of the causal flight record.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightEvent {
-    /// A job entered `shard`'s decision loop as its `seq`-th submission.
+    /// A job entered `shard`'s decision loop as its `seq`-th submission
+    /// but its decision never completed (written by a contained fault).
     Submission {
         /// Per-shard arrival index (0-based).
         seq: u64,
@@ -144,39 +147,6 @@ pub enum FlightEvent {
     /// The decision the shard produced for its `seq`-th submission,
     /// with its stage-resolved timeline stamps.
     Decision(StampedDecision),
-    /// The irrevocable commitment of an accepted job.
-    Commitment {
-        /// Per-shard arrival index of the committed job.
-        seq: u64,
-        /// The committing shard.
-        shard: u32,
-        /// Job id.
-        job: u32,
-        /// Committed machine (global cluster id).
-        machine: u32,
-        /// Committed start time.
-        start: f64,
-    },
-}
-
-impl FlightEvent {
-    /// The per-shard arrival index the event belongs to.
-    pub fn seq(&self) -> u64 {
-        match self {
-            FlightEvent::Submission { seq, .. } => *seq,
-            FlightEvent::Decision(d) => d.seq,
-            FlightEvent::Commitment { seq, .. } => *seq,
-        }
-    }
-
-    /// The shard that recorded the event.
-    pub fn shard(&self) -> u32 {
-        match self {
-            FlightEvent::Submission { shard, .. } => *shard,
-            FlightEvent::Decision(d) => d.shard as u32,
-            FlightEvent::Commitment { shard, .. } => *shard,
-        }
-    }
 }
 
 fn reject_reason_code(r: RejectReason) -> u8 {
@@ -203,7 +173,7 @@ fn reject_reason_from_code(code: u8) -> Result<RejectReason, String> {
 /// Layout (little-endian):
 /// ```text
 /// off  len  field
-///   0    1  kind (0 submission, 1 decision, 2 commitment)
+///   0    1  kind (0 submission, 1 decision)
 ///   1    1  flags (accepted / threshold / min_load / placement / reason)
 ///   2    1  reject reason code (valid when flagged)
 ///   3    1  reserved (0)
@@ -257,21 +227,6 @@ fn encode_event_to(rec: &mut [u8], event: &FlightEvent) {
             put_f64(rec, 40, *deadline);
         }
         FlightEvent::Decision(sd) => encode_decision_to(rec, &sd.event, &sd.stamps),
-        FlightEvent::Commitment {
-            seq,
-            shard,
-            job,
-            machine,
-            start,
-        } => {
-            rec[0] = KIND_COMMITMENT;
-            rec[1] = FLAG_PLACEMENT;
-            put_u32(rec, 4, *shard);
-            put_u64(rec, 8, *seq);
-            put_u32(rec, 16, *job);
-            put_u32(rec, 64, *machine);
-            put_f64(rec, 72, *start);
-        }
     }
 }
 
@@ -325,62 +280,6 @@ fn encode_decision_to(rec: &mut [u8], d: &DecisionEvent, stamps: &TimelineStamps
     for (i, &stamp) in stamps.0.iter().enumerate() {
         put_u64(rec, STAMPS_OFFSET + i * 8, stamp);
     }
-}
-
-/// Expands compact decision records into the full causal event stream.
-///
-/// A recorder that wants the cheapest possible hot path stores only the
-/// [`FlightEvent::Decision`] record per job: the matching `Submission`
-/// (same job fields, recorded on arrival) and `Commitment` (the accepted
-/// placement) are pure projections of it. This reinflates such a stream
-/// — each decision becomes `Submission, Decision[, Commitment]` in
-/// order, and any event that is already a `Submission` or `Commitment`
-/// (e.g. the trailing arrival a crash dump captured before its decision
-/// was made) passes through unchanged. Expanding an already-expanded
-/// stream would duplicate submissions, so callers expand exactly once,
-/// at snapshot time.
-pub fn expand_decision_stream(events: Vec<FlightEvent>) -> Vec<FlightEvent> {
-    let accepted = events
-        .iter()
-        .filter(|e| matches!(e, FlightEvent::Decision(d) if d.accepted))
-        .count();
-    let decisions = events
-        .iter()
-        .filter(|e| matches!(e, FlightEvent::Decision(_)))
-        .count();
-    let mut out = Vec::with_capacity(events.len() + decisions + accepted);
-    for event in events {
-        match event {
-            FlightEvent::Decision(d) => {
-                out.push(FlightEvent::Submission {
-                    seq: d.seq,
-                    shard: d.shard as u32,
-                    job: d.job,
-                    release: d.release,
-                    proc_time: d.proc_time,
-                    deadline: d.deadline,
-                });
-                let placement = match (d.accepted, d.machine, d.start) {
-                    (true, Some(machine), Some(start)) => {
-                        Some((d.seq, d.shard as u32, d.job, machine, start))
-                    }
-                    _ => None,
-                };
-                out.push(FlightEvent::Decision(d));
-                if let Some((seq, shard, job, machine, start)) = placement {
-                    out.push(FlightEvent::Commitment {
-                        seq,
-                        shard,
-                        job,
-                        machine,
-                        start,
-                    });
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// Decodes one fixed-size [`RECORD_SIZE`]-byte record back into its
@@ -438,13 +337,6 @@ pub fn decode_event(rec: &[u8]) -> Result<FlightEvent, String> {
                 stamps,
             })
         }
-        KIND_COMMITMENT => FlightEvent::Commitment {
-            seq,
-            shard,
-            job,
-            machine: get_u32(64),
-            start: get_f64(72),
-        },
         other => return Err(format!("unknown flight record kind {other}")),
     })
 }
@@ -570,7 +462,7 @@ impl SharedFlightRing {
     }
 
     /// Appends one event. **Single-writer**: exactly one thread may call
-    /// this (and [`SharedFlightRing::record_with`]) per ring — the
+    /// this (and [`SharedFlightRing::record_decision`]) per ring — the
     /// engine gives each shard worker its own ring. Wait-free on the
     /// append path; the wrap path is a short seqlock write.
     pub fn record(&self, event: &FlightEvent) {
@@ -594,16 +486,6 @@ impl SharedFlightRing {
         let mut rec = [0u8; RECORD_SIZE];
         encode_decision_to(&mut rec, event, stamps);
         self.push_record(&rec);
-    }
-
-    /// [`SharedFlightRing::record`] with the event built lazily: `make`
-    /// is only invoked when the ring has capacity.
-    pub fn record_with(&self, make: impl FnOnce() -> FlightEvent) {
-        if self.cap == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.record(&make());
     }
 
     /// Copies one consistent pass of `(len, head, slot words)` out.
@@ -949,28 +831,27 @@ mod tests {
         }
     }
 
+    /// The arrival record a contained fault writes for the job whose
+    /// decision never completed.
+    fn arrival(seq: u64) -> FlightEvent {
+        FlightEvent::Submission {
+            seq,
+            shard: 0,
+            job: seq as u32,
+            release: 0.25 * seq as f64,
+            proc_time: 1.5,
+            deadline: 12.5,
+        }
+    }
+
     fn sample_events() -> Vec<FlightEvent> {
         vec![
-            FlightEvent::Submission {
-                seq: 0,
-                shard: 1,
-                job: 0,
-                release: 0.0,
-                proc_time: 1.5,
-                deadline: 12.5,
-            },
             FlightEvent::Decision(StampedDecision::new(
                 decision(0, true),
                 TimelineStamps([11, 12, 13, 14, 15, 16, 17]),
             )),
-            FlightEvent::Commitment {
-                seq: 0,
-                shard: 1,
-                job: 0,
-                machine: 2,
-                start: 3.25,
-            },
             FlightEvent::Decision(decision(1, false).into()),
+            arrival(2),
         ]
     }
 
@@ -1013,9 +894,14 @@ mod tests {
         // A record of any other width (e.g. the old 96-byte layout
         // without stamps) is refused, not guessed at.
         assert!(decode_event(&encode_event(&sample_events()[0])[..96]).is_err());
-        let mut rec = encode_event(&sample_events()[0]);
-        rec[0] = 77; // unknown kind
-        assert!(decode_event(&rec).is_err());
+        // Kind 2 was the synthesized commitment record of version 2
+        // files; it is now as unknown as any other kind.
+        for kind in [2, 77] {
+            let mut rec = encode_event(&sample_events()[0]);
+            rec[0] = kind;
+            let err = decode_event(&rec).unwrap_err();
+            assert_eq!(err, format!("unknown flight record kind {kind}"));
+        }
         let mut rec = encode_event(&FlightEvent::Decision(decision(0, false).into()));
         rec[2] = 9; // unknown reject reason
         assert!(decode_event(&rec).is_err());
@@ -1058,9 +944,20 @@ mod tests {
         assert_eq!(&buf[..4], CFR_MAGIC);
         let back = FlightSnapshot::read_cfr(&mut buf.as_slice()).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.len(), 4);
+        assert_eq!(back.len(), 3);
         assert_eq!(back.total_dropped(), 3);
         assert_eq!(back.decisions().len(), 2);
+        // Exactly what the snapshot holds is written, one record each:
+        // magic + version, the fixed header fields (m, shards, eps,
+        // seed, label length, submitted, accepted, four reject
+        // counters, block count), the label, one block header per
+        // shard, the records, and the checksum.
+        let fixed = 4 + 4 + (4 + 4 + 8 + 8 + 4 + 8 + 8 + 4 * 8 + 4) + 8;
+        let label = snap.header.algorithm.len();
+        assert_eq!(
+            buf.len(),
+            fixed + label + SHARD_BLOCK_HEADER * snap.shards.len() + RECORD_SIZE * snap.len()
+        );
     }
 
     /// Wraps `body` in a `.cfr` container with version word `version`
@@ -1076,15 +973,20 @@ mod tests {
 
     #[test]
     fn version_one_cfr_is_refused_with_a_typed_error() {
+        // Version 1 had narrower records; version 2 carried synthesized
+        // submission and commitment records beside every decision. Both
+        // are refused by version word, never decoded.
         let snap = sample_snapshot();
         let mut buf = Vec::new();
         snap.write_cfr(&mut buf).unwrap();
-        let v1 = container(1, &buf[8..buf.len() - 8]);
-        let err = FlightSnapshot::read_cfr(&mut v1.as_slice()).unwrap_err();
-        assert!(
-            err.contains("unsupported .cfr version 1"),
-            "unexpected error: {err}"
-        );
+        for version in [1, 2] {
+            let old = container(version, &buf[8..buf.len() - 8]);
+            let err = FlightSnapshot::read_cfr(&mut old.as_slice()).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported .cfr version {version}")),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     /// A header for `blocks` shard blocks, everything else empty.
@@ -1143,19 +1045,12 @@ mod tests {
     fn shared_ring_keeps_most_recent_window_and_counts_drops() {
         let ring = SharedFlightRing::new(3);
         for seq in 0..5u64 {
-            ring.record(&FlightEvent::Commitment {
-                seq,
-                shard: 0,
-                job: seq as u32,
-                machine: 0,
-                start: 0.0,
-            });
+            ring.record(&arrival(seq));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
         let (events, dropped) = ring.snapshot_events();
-        let seqs: Vec<u64> = events.iter().map(FlightEvent::seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
+        assert_eq!(events, (2..5).map(arrival).collect::<Vec<_>>());
         assert_eq!(dropped, 2);
         // Snapshot is non-destructive.
         assert_eq!(ring.len(), 3);
@@ -1164,8 +1059,8 @@ mod tests {
     #[test]
     fn shared_ring_zero_capacity_records_nothing() {
         let ring = SharedFlightRing::new(0);
-        ring.record(&sample_events()[0]);
-        ring.record_with(|| unreachable!("must not build for a zero-capacity ring"));
+        ring.record(&arrival(0));
+        ring.record_decision(&decision(1, true), &TimelineStamps::empty());
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 2);
         assert!(ring.snapshot_events().0.is_empty());
@@ -1183,16 +1078,6 @@ mod tests {
         assert_eq!(events, vec![event]);
     }
 
-    fn commitment(seq: u64) -> FlightEvent {
-        FlightEvent::Commitment {
-            seq,
-            shard: 0,
-            job: seq as u32,
-            machine: 0,
-            start: 0.0,
-        }
-    }
-
     #[test]
     fn shared_ring_append_snapshots_are_exact_prefixes() {
         use std::sync::Arc;
@@ -1204,7 +1089,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
                 for seq in 0..20_000u64 {
-                    ring.record(&commitment(seq));
+                    ring.record(&arrival(seq));
                 }
             })
         };
@@ -1212,7 +1097,7 @@ mod tests {
             let (events, dropped) = ring.snapshot_events();
             assert_eq!(dropped, 0);
             for (i, event) in events.iter().enumerate() {
-                assert_eq!(event, &commitment(i as u64));
+                assert_eq!(event, &arrival(i as u64));
             }
         }
         writer.join().unwrap();
@@ -1232,7 +1117,7 @@ mod tests {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
                 for seq in 0..20_000u64 {
-                    ring.record(&commitment(seq));
+                    ring.record(&arrival(seq));
                 }
             })
         };
@@ -1240,12 +1125,12 @@ mod tests {
             let (events, _) = ring.snapshot_events();
             assert!(events.len() <= 64);
             for event in &events {
-                assert!(matches!(event, FlightEvent::Commitment { .. }));
+                assert!(matches!(event, FlightEvent::Submission { .. }));
             }
         }
         writer.join().unwrap();
         let (events, dropped) = ring.snapshot_events();
-        let expected: Vec<FlightEvent> = (20_000 - 64..20_000).map(commitment).collect();
+        let expected: Vec<FlightEvent> = (20_000 - 64..20_000).map(arrival).collect();
         assert_eq!(events, expected);
         assert_eq!(dropped, 20_000 - 64);
     }

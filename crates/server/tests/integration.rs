@@ -176,9 +176,13 @@ fn wire_decision_stream_matches_in_process_engine() {
     let instance = WorkloadSpec::default_spec(m, eps, n, seed)
         .generate()
         .unwrap();
-    for result in engine.submit_batch(instance.jobs()) {
-        result.expect("in-process submit");
-    }
+    let mut failures = Vec::new();
+    assert_eq!(
+        engine.submit_batch_into(instance.jobs(), &mut failures),
+        instance.len(),
+        "in-process submit"
+    );
+    assert!(failures.is_empty(), "{failures:?}");
     let report = engine.finish().expect("in-process finish");
     let reference: Vec<StampedDecision> = rx.iter().collect();
 

@@ -17,7 +17,9 @@
 //!   lane overlap, `r_j <= s_j <= d_j - p_j` per commitment, the slack
 //!   condition at admission, threshold accepts/rejects consistent with
 //!   the recorded load and the `c(eps, m)` factor table, and reported
-//!   counters equal to recomputed ones.
+//!   counters equal to recomputed ones. A job is committed the instant
+//!   it is accepted, so the commitments it checks are the accepted
+//!   decisions' own `(machine, start)` placements.
 //!
 //! The shard layout is mirrored from the engine (contiguous machine
 //! groups, `shard_of = id mod shards`); [`shard_group_bounds`] is the
@@ -30,7 +32,7 @@ use cslack_kernel::{tol, Instance, Job, JobId, MachineId, Schedule, Time};
 use cslack_obs::flight::{FlightEvent, FlightSnapshot};
 use cslack_obs::{DecisionEvent, RejectCounts, RejectReason};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The machine-id range `[lo, hi)` owned by `shard` — the same
 /// contiguous split as the engine's `machine_groups` (leading
@@ -70,30 +72,8 @@ pub fn reconstruct_instance(snap: &FlightSnapshot) -> Result<Instance, String> {
         }
         Ok(())
     };
-    for shard in &snap.shards {
-        for event in &shard.events {
-            match event {
-                FlightEvent::Submission {
-                    job,
-                    release,
-                    proc_time,
-                    deadline,
-                    ..
-                } => insert(Job::new(
-                    JobId(*job),
-                    Time::new(*release),
-                    *proc_time,
-                    Time::new(*deadline),
-                ))?,
-                FlightEvent::Decision(d) => insert(Job::new(
-                    JobId(d.job),
-                    Time::new(d.release),
-                    d.proc_time,
-                    Time::new(d.deadline),
-                ))?,
-                FlightEvent::Commitment { .. } => {}
-            }
-        }
+    for event in snap.shards.iter().flat_map(|s| &s.events) {
+        insert(record_job(event))?;
     }
     Instance::from_parts(
         snap.header.m as usize,
@@ -249,12 +229,7 @@ pub fn rebuild_shard_state(
                 rec.seq
             ));
         }
-        let job = Job::new(
-            JobId(rec.job),
-            Time::new(rec.release),
-            rec.proc_time,
-            Time::new(rec.deadline),
-        );
+        let job = decision_job(rec);
         let (decision, info) = scheduler.offer_explained(&job);
         let (accepted, machine, start) = match decision {
             cslack_algorithms::Decision::Accept { machine, start } => {
@@ -322,12 +297,7 @@ where
                     block.shard, i, rec.seq
                 ));
             }
-            let job = Job::new(
-                JobId(rec.job),
-                Time::new(rec.release),
-                rec.proc_time,
-                Time::new(rec.deadline),
-            );
+            let job = decision_job(rec);
             let (decision, info) = scheduler.offer_explained(&job);
             let (accepted, machine, start) = match decision {
                 cslack_algorithms::Decision::Accept { machine, start } => {
@@ -374,7 +344,8 @@ pub struct AuditViolation {
 pub struct AuditReport {
     /// Decisions examined.
     pub decisions_checked: u64,
-    /// Commitments re-committed into a fresh schedule.
+    /// Accepted decisions whose placement was re-committed into a
+    /// fresh schedule.
     pub commitments_checked: u64,
     /// Whether the header counters could be recomputed and compared
     /// (`false` when the rings dropped events, making totals
@@ -430,150 +401,80 @@ pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
         return report;
     }
 
-    // Job parameters by id, for re-committing commitments that lost
-    // their decision event to ring pressure.
-    let mut params: BTreeMap<u32, Job> = BTreeMap::new();
-    for shard in &snap.shards {
-        for event in &shard.events {
-            let job = match event {
-                FlightEvent::Submission {
-                    job,
-                    release,
-                    proc_time,
-                    deadline,
-                    ..
-                } => Job::new(
-                    JobId(*job),
-                    Time::new(*release),
-                    *proc_time,
-                    Time::new(*deadline),
-                ),
-                FlightEvent::Decision(d) => Job::new(
-                    JobId(d.job),
-                    Time::new(d.release),
-                    d.proc_time,
-                    Time::new(d.deadline),
-                ),
-                FlightEvent::Commitment { .. } => continue,
-            };
-            if let Some(prev) = params.get(&job.id.0) {
-                if prev != &job {
-                    report.violations.push(AuditViolation {
-                        check: "consistency",
-                        shard: Some(event.shard()),
-                        job: Some(job.id.0),
-                        message: format!("{} recorded with conflicting parameters", job.id),
-                    });
-                }
-            } else {
-                params.insert(job.id.0, job);
-            }
-        }
-    }
-
-    // Re-commit every commitment into a fresh authoritative schedule:
-    // Schedule::commit enforces the machine range, the window
-    // r_j <= s_j <= d_j - p_j, lane overlap, and commitment uniqueness.
+    // Re-commit every accepted decision's placement into a fresh
+    // authoritative schedule: Schedule::commit enforces the machine
+    // range, the window r_j <= s_j <= d_j - p_j, lane overlap, and
+    // commitment uniqueness. Every record's job parameters are kept by
+    // id, so a job recorded twice (an arrival record and a later
+    // decision, or a duplicate) must agree with itself.
     let mut schedule = Schedule::new(m);
+    let mut params: HashMap<u32, Job> = HashMap::new();
     let mut accepted_recomputed = 0u64;
     let mut rejected_recomputed = RejectCounts::default();
+    let threshold_algo = snap.header.algorithm == "threshold";
     for block in &snap.shards {
         let shard = block.shard as usize;
-        let (lo, hi) = shard_group_bounds(m, shards, shard);
-        let threshold_algo = snap.header.algorithm == "threshold";
-        let f_last = if threshold_algo {
-            Some(threshold_last_factor(hi - lo, eps))
-        } else {
-            None
-        };
+        let group = shard_group_bounds(m, shards, shard);
+        let f_last = threshold_algo.then(|| threshold_last_factor(group.1 - group.0, eps));
         for event in &block.events {
-            match event {
-                FlightEvent::Submission { job, .. } => {
-                    if *job as usize % shards != shard {
-                        report.violations.push(AuditViolation {
-                            check: "consistency",
-                            shard: Some(block.shard),
-                            job: Some(*job),
-                            message: format!(
-                                "J{job} was routed to shard {shard}, expected {}",
-                                *job as usize % shards
-                            ),
-                        });
-                    }
+            let job = record_job(event);
+            let id = job.id.0;
+            if id as usize % shards != shard {
+                report.violations.push(AuditViolation {
+                    check: "consistency",
+                    shard: Some(block.shard),
+                    job: Some(id),
+                    message: format!(
+                        "J{id} was routed to shard {shard}, expected {}",
+                        id as usize % shards
+                    ),
+                });
+            }
+            match params.get(&id) {
+                Some(prev) if prev != &job => report.violations.push(AuditViolation {
+                    check: "consistency",
+                    shard: Some(block.shard),
+                    job: Some(id),
+                    message: format!("{} recorded with conflicting parameters", job.id),
+                }),
+                Some(_) => {}
+                None => {
+                    params.insert(id, job);
                 }
-                FlightEvent::Decision(d) => {
-                    report.decisions_checked += 1;
-                    if d.accepted {
-                        accepted_recomputed += 1;
-                    } else {
-                        rejected_recomputed
-                            .bump(d.reject_reason.unwrap_or(RejectReason::Unattributed));
-                    }
-                    audit_decision(d, block.shard, lo, eps, f_last, &mut report);
-                    // Stage stamps, when present, must respect pipeline
-                    // order on the server's clock; absent (zero) stamps
-                    // pass vacuously.
-                    if !d.stamps.server_monotone() {
-                        report.violations.push(AuditViolation {
-                            check: "stamps",
-                            shard: Some(block.shard),
-                            job: Some(d.job),
-                            message: format!(
-                                "J{} timeline stamps are not monotone: {:?}",
-                                d.job, d.stamps.0
-                            ),
-                        });
-                    }
-                }
-                FlightEvent::Commitment {
-                    job,
-                    machine,
-                    start,
-                    ..
-                } => {
+            }
+            let FlightEvent::Decision(d) = event else {
+                continue;
+            };
+            report.decisions_checked += 1;
+            if d.accepted {
+                accepted_recomputed += 1;
+                if d.machine.is_some() && d.start.is_some() {
                     report.commitments_checked += 1;
-                    if (*machine as usize) < lo || (*machine as usize) >= hi {
-                        report.violations.push(AuditViolation {
-                            check: "commitment",
-                            shard: Some(block.shard),
-                            job: Some(*job),
-                            message: format!(
-                                "J{job} committed to machine {machine}, outside the \
-                                 shard's group [{lo}, {hi})"
-                            ),
-                        });
-                    }
-                    match params.get(job) {
-                        Some(j) => {
-                            if let Err(e) =
-                                schedule.commit(*j, MachineId(*machine), Time::new(*start))
-                            {
-                                report.violations.push(AuditViolation {
-                                    check: "commitment",
-                                    shard: Some(block.shard),
-                                    job: Some(*job),
-                                    message: e.to_string(),
-                                });
-                            }
-                        }
-                        None => {
-                            // Without the job's parameters the window
-                            // checks are impossible; only a complete
-                            // recording makes this a hard violation.
-                            if report.dropped == 0 {
-                                report.violations.push(AuditViolation {
-                                    check: "consistency",
-                                    shard: Some(block.shard),
-                                    job: Some(*job),
-                                    message: format!(
-                                        "commitment for J{job} has no matching \
-                                         submission or decision"
-                                    ),
-                                });
-                            }
-                        }
-                    }
                 }
+            } else {
+                rejected_recomputed.bump(d.reject_reason.unwrap_or(RejectReason::Unattributed));
+            }
+            audit_decision(
+                d,
+                block.shard,
+                group,
+                eps,
+                f_last,
+                &mut schedule,
+                &mut report,
+            );
+            // Stage stamps, when present, must respect pipeline order on
+            // the server's clock; absent (zero) stamps pass vacuously.
+            if !d.stamps.server_monotone() {
+                report.violations.push(AuditViolation {
+                    check: "stamps",
+                    shard: Some(block.shard),
+                    job: Some(d.job),
+                    message: format!(
+                        "J{} timeline stamps are not monotone: {:?}",
+                        d.job, d.stamps.0
+                    ),
+                });
             }
         }
     }
@@ -619,15 +520,48 @@ pub fn audit_snapshot(snap: &FlightSnapshot) -> AuditReport {
     report
 }
 
-/// Per-decision checks: slack at admission, commitment window,
+/// The job parameters a record carries (both kinds carry
+/// `(r_j, p_j, d_j)`).
+fn record_job(event: &FlightEvent) -> Job {
+    match event {
+        FlightEvent::Submission {
+            job,
+            release,
+            proc_time,
+            deadline,
+            ..
+        } => Job::new(
+            JobId(*job),
+            Time::new(*release),
+            *proc_time,
+            Time::new(*deadline),
+        ),
+        FlightEvent::Decision(d) => decision_job(d),
+    }
+}
+
+/// The job a decision was made for.
+fn decision_job(d: &DecisionEvent) -> Job {
+    Job::new(
+        JobId(d.job),
+        Time::new(d.release),
+        d.proc_time,
+        Time::new(d.deadline),
+    )
+}
+
+/// Per-decision checks: slack at admission, the accepted placement
+/// (inside the shard's machine group `[lo, hi)`, then re-committed into
+/// `schedule`, which checks its window, overlap and uniqueness),
 /// threshold-rule consistency, and the `c(eps, m)` lower bound on the
 /// recorded threshold.
 fn audit_decision(
     d: &DecisionEvent,
     shard: u32,
-    group_lo: usize,
+    (lo, hi): (usize, usize),
     eps: f64,
     f_last: Option<f64>,
+    schedule: &mut Schedule,
     report: &mut AuditReport,
 ) {
     let mut flag = |check: &'static str, message: String| {
@@ -638,12 +572,7 @@ fn audit_decision(
             message,
         });
     };
-    let job = Job::new(
-        JobId(d.job),
-        Time::new(d.release),
-        d.proc_time,
-        Time::new(d.deadline),
-    );
+    let job = decision_job(d);
     if d.accepted {
         // Admission is only legal for jobs satisfying the slack
         // condition d_j >= r_j + (1 + eps) p_j.
@@ -660,26 +589,18 @@ fn audit_decision(
         }
         match (d.machine, d.start) {
             (Some(machine), Some(start)) => {
-                if (machine as usize) < group_lo {
+                if (machine as usize) < lo || (machine as usize) >= hi {
                     flag(
                         "commitment",
                         format!(
-                            "J{} accepted on machine {machine} below its shard group",
+                            "J{} committed to machine {machine}, outside the shard's \
+                             group [{lo}, {hi})",
                             d.job
                         ),
                     );
                 }
-                // r_j <= s_j <= d_j - p_j, with the kernel tolerance.
-                if !job.feasible_start(Time::new(start)) {
-                    flag(
-                        "commitment",
-                        format!(
-                            "J{} start {start} outside the feasible window [{}, {}]",
-                            d.job,
-                            d.release,
-                            job.latest_start()
-                        ),
-                    );
+                if let Err(e) = schedule.commit(job, MachineId(machine), Time::new(start)) {
+                    flag("commitment", e.to_string());
                 }
             }
             _ => flag(
@@ -757,7 +678,7 @@ pub fn audit_as_sim_error(snap: &FlightSnapshot) -> Result<AuditReport, Box<SimE
 mod tests {
     use super::*;
     use cslack_algorithms::Threshold;
-    use cslack_obs::flight::{FlightHeader, ShardFlight};
+    use cslack_obs::flight::{FlightHeader, ShardFlight, StampedDecision};
 
     fn record_run(m: usize, shards: usize, eps: f64, jobs: &[(f64, f64, f64)]) -> FlightSnapshot {
         // A miniature in-process engine: per-shard Threshold schedulers
@@ -784,14 +705,6 @@ mod tests {
             let seq = seqs[shard];
             seqs[shard] += 1;
             let job = Job::new(JobId(id as u32), Time::new(r), p, Time::new(d));
-            blocks[shard].events.push(FlightEvent::Submission {
-                seq,
-                shard: shard as u32,
-                job: id as u32,
-                release: r,
-                proc_time: p,
-                deadline: d,
-            });
             let (decision, info) = schedulers[shard].offer_explained(&job);
             let (acc, machine, start) = match decision {
                 cslack_algorithms::Decision::Accept { machine, start } => {
@@ -824,15 +737,6 @@ mod tests {
                 }
                 .into(),
             ));
-            if let (Some(machine), Some(start)) = (machine, start) {
-                blocks[shard].events.push(FlightEvent::Commitment {
-                    seq,
-                    shard: shard as u32,
-                    job: id as u32,
-                    machine,
-                    start,
-                });
-            }
         }
         FlightSnapshot {
             header: FlightHeader {
@@ -976,37 +880,161 @@ mod tests {
         assert!(err.contains("dropped"), "unexpected error: {err}");
     }
 
+    /// The recorded decisions of shard `shard`, mutably.
+    fn decisions_mut(snap: &mut FlightSnapshot, shard: usize) -> Vec<&mut StampedDecision> {
+        snap.shards[shard]
+            .events
+            .iter_mut()
+            .filter_map(|e| match e {
+                FlightEvent::Decision(d) => Some(d),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whether `report` raised a violation of class `check`.
+    fn raised(report: &AuditReport, check: &str) -> bool {
+        report.violations.iter().any(|v| v.check == check)
+    }
+
     #[test]
     fn audit_catches_overlap_window_slack_and_threshold_violations() {
+        // Move the second accept onto the first one's machine and
+        // start: lane overlap or a window miss, both commitment checks.
         let mut snap = record_run(4, 1, 0.5, &workload());
-        // Clone the first commitment onto the same machine and start:
-        // lane overlap (or duplicate id — both are commitment checks).
-        let first = snap.shards[0]
-            .events
-            .iter()
-            .find(|e| matches!(e, FlightEvent::Commitment { .. }))
-            .cloned()
-            .expect("run commits something");
-        snap.shards[0].events.push(first);
+        let mut accepts: Vec<_> = decisions_mut(&mut snap, 0)
+            .into_iter()
+            .filter(|d| d.accepted)
+            .collect();
+        assert!(accepts.len() >= 2, "run accepts at least two jobs");
+        let (machine, start) = (accepts[0].machine, accepts[0].start);
+        accepts[1].machine = machine;
+        accepts[1].start = start;
+        assert!(raised(&audit_snapshot(&snap), "commitment"));
+
+        // An accept placed after its latest start: a window miss.
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        let d = decisions_mut(&mut snap, 0)
+            .into_iter()
+            .find(|d| d.accepted)
+            .expect("run accepts something");
+        d.start = Some(d.deadline);
         let report = audit_snapshot(&snap);
-        assert!(!report.is_clean());
-        assert!(report.violations.iter().any(|v| v.check == "commitment"));
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.check == "commitment" && v.message.contains("deadline")),
+            "{:?}",
+            report.violations
+        );
+
+        // An accept without the slack d >= r + (1 + eps) p.
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        let d = decisions_mut(&mut snap, 0)
+            .into_iter()
+            .find(|d| d.accepted)
+            .expect("run accepts something");
+        d.deadline = d.release + d.proc_time;
+        assert!(raised(&audit_snapshot(&snap), "slack"));
 
         // A fabricated accept below its recorded threshold.
         let mut snap = record_run(4, 1, 0.5, &workload());
-        for e in snap.shards[0].events.iter_mut() {
-            if let FlightEvent::Decision(d) = e {
-                if !d.accepted && d.reject_reason == Some(RejectReason::ThresholdExceeded) {
-                    d.accepted = true;
-                    d.machine = Some(0);
-                    d.start = Some(d.release);
-                    d.reject_reason = None;
-                    break;
-                }
+        for d in decisions_mut(&mut snap, 0) {
+            if !d.accepted && d.reject_reason == Some(RejectReason::ThresholdExceeded) {
+                d.accepted = true;
+                d.machine = Some(0);
+                d.start = Some(d.release);
+                d.reject_reason = None;
+                break;
             }
         }
+        assert!(raised(&audit_snapshot(&snap), "threshold"));
+    }
+
+    #[test]
+    fn audit_checks_both_bounds_of_the_shard_machine_group() {
+        // Two shards over four machines: shard 0 owns [0, 2), shard 1
+        // owns [2, 4). A placement on the other group's machine is
+        // inside the cluster, so only the group check can catch it.
+        for (shard, foreign) in [(0usize, 2u32), (1, 1)] {
+            let mut snap = record_run(4, 2, 0.5, &workload());
+            let d = decisions_mut(&mut snap, shard)
+                .into_iter()
+                .find(|d| d.accepted)
+                .expect("shard accepts something");
+            d.machine = Some(foreign);
+            let report = audit_snapshot(&snap);
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| v.check == "commitment" && v.message.contains("outside")),
+                "shard {shard}: {:?}",
+                report.violations
+            );
+        }
+    }
+
+    #[test]
+    fn audit_catches_routing_parameter_placement_and_stamp_violations() {
+        // A decision filed under the wrong shard.
+        let mut snap = record_run(4, 2, 0.5, &workload());
+        let moved = snap.shards[1].events.pop().unwrap();
+        snap.shards[0].events.push(moved);
+        assert!(raised(&audit_snapshot(&snap), "consistency"));
+
+        // An arrival record whose parameters contradict the job's
+        // decision.
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        let d = decisions_mut(&mut snap, 0).remove(0).event.clone();
+        snap.shards[0].events.push(FlightEvent::Submission {
+            seq: 40,
+            shard: 0,
+            job: d.job,
+            release: d.release,
+            proc_time: d.proc_time * 2.0,
+            deadline: d.deadline,
+        });
         let report = audit_snapshot(&snap);
-        assert!(report.violations.iter().any(|v| v.check == "threshold"));
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.check == "consistency" && v.message.contains("conflicting")),
+            "{:?}",
+            report.violations
+        );
+
+        // The same arrival record with matching parameters (a contained
+        // fault's undecided job) is clean.
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        let d = decisions_mut(&mut snap, 0).remove(0).event.clone();
+        snap.shards[0].events.push(FlightEvent::Submission {
+            seq: 40,
+            shard: 0,
+            job: d.job,
+            release: d.release,
+            proc_time: d.proc_time,
+            deadline: d.deadline,
+        });
+        let report = audit_snapshot(&snap);
+        assert!(report.is_clean(), "{:?}", report.violations);
+
+        // An accept with no placement.
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        let d = decisions_mut(&mut snap, 0)
+            .into_iter()
+            .find(|d| d.accepted)
+            .expect("run accepts something");
+        d.machine = None;
+        assert!(raised(&audit_snapshot(&snap), "consistency"));
+
+        // Stage stamps out of pipeline order.
+        let mut snap = record_run(4, 1, 0.5, &workload());
+        decisions_mut(&mut snap, 0)[0].stamps =
+            cslack_obs::timeline::TimelineStamps([0, 0, 0, 9, 5, 0, 0]);
+        assert!(raised(&audit_snapshot(&snap), "stamps"));
     }
 
     #[test]
